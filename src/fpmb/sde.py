@@ -9,6 +9,12 @@ inside two derivatives), so histograms of a propagated ensemble must
 converge to the analytic density at the usual 1/sqrt(N) rate.  Reflection
 realizes the zero-flux boundaries at path level: no particle is ever
 absorbed or created.
+
+Every family's profiles are quadratics in the reduced coordinate, so at a
+fixed time D1 and D2 are quadratics in x whose three coefficients depend
+on t alone.  A step folds the solution's ``drift_coefs`` and
+``diffusion_coefs`` with the powers of t into three scalars each and
+evaluates both in Horner form, in place, over the whole ensemble.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import numpy as np
 from .solutions import (
     SimilaritySolution,
     boundary_positions,
-    coefficients,
     effective_upper,
     reduced_density,
 )
@@ -91,10 +96,35 @@ def init_ensemble(
     )
 
 
+def _horner(
+    x: np.ndarray, coefs: tuple[float, float, float], out: np.ndarray | None = None
+) -> np.ndarray:
+    """c0 + x (c1 + x c2), built in place in ``out`` (a new array if None)."""
+    c0, c1, c2 = coefs
+    out = np.multiply(x, c2, out=out)
+    out += c1
+    out *= x
+    out += c0
+    return out
+
+
+def _folded(
+    coefs: tuple[float, float, float], t: float, power: float, alpha: float, factor: float
+) -> tuple[float, float, float]:
+    """Coefficients in x of factor * t^power * q(x / t^alpha), q given by ``coefs``."""
+    return tuple(factor * c * t ** (power - k * alpha) for k, c in enumerate(coefs))
+
+
 def step_ensemble(
     ens: PathEnsemble, sol: SimilaritySolution, dt: float, *, noise_scale: float = 1.0
 ) -> PathEnsemble:
     """One Euler-Maruyama step of size dt with reflection at t + dt boundaries.
+
+    D1 and D2 are quadratics in x at fixed t: the profile coefficients and
+    the powers of t and dt fold into three scalars each, and the Horner
+    forms run in place on the step's output array and the noise buffer.
+    Positions are taken to lie in the closed domain at ``ens.t``, as every
+    ensemble from ``init_ensemble`` and ``step_ensemble`` does.
 
     ``noise_scale=0`` switches off the diffusion term, turning the update
     into a forward-Euler step of the deterministic drift flow (used by the
@@ -102,41 +132,45 @@ def step_ensemble(
     """
     if dt <= 0.0:
         raise ValueError(f"need dt > 0, got {dt!r}")
-    t_new = ens.t + dt
+    t, alpha = ens.t, sol.alpha
+    t_new = t + dt
     x = ens.positions
-    d1, d2 = coefficients(sol, x, ens.t)
-    x_new = x + d1 * dt
-    if noise_scale != 0.0:
+    drift = _folded(sol.drift_coefs, t, alpha - 1.0, alpha, dt)
+    if noise_scale == 0.0:
+        x_new = _horner(x, drift)
+    else:
+        # sqrt(2 max(D2, 0) dt) noise_scale noise, then the drift D1 dt
+        # evaluated into the spent noise buffer
+        x_new = _horner(x, _folded(sol.diffusion_coefs, t, 2.0 * alpha - 1.0, alpha, 2.0 * dt))
+        np.maximum(x_new, 0.0, out=x_new)
+        np.sqrt(x_new, out=x_new)
+        if noise_scale != 1.0:
+            x_new *= noise_scale
         noise = ens.rng.standard_normal(x.shape[0])
-        x_new = x_new + noise_scale * np.sqrt(2.0 * np.maximum(d2, 0.0) * dt) * noise
+        x_new *= noise
+        x_new += _horner(x, drift, out=noise)
+    x_new += x
 
     lo, hi = boundary_positions(sol, t_new)
-    reflections = 0
-    below = x_new < lo
-    if below.any():
-        reflections += int(below.sum())
-        x_new[below] = 2.0 * lo - x_new[below]
+    mask = x_new < lo
+    reflections = int(np.count_nonzero(mask))
+    if reflections:
+        np.subtract(2.0 * lo, x_new, out=x_new, where=mask)
     if math.isfinite(hi):
-        above = x_new > hi
-        if above.any():
-            reflections += int(above.sum())
-            x_new[above] = 2.0 * hi - x_new[above]
-    out_of_domain = (x_new < lo) | (x_new > hi)
-    if out_of_domain.any():
+        np.greater(x_new, hi, out=mask)
+        above = int(np.count_nonzero(mask))
+        if above:
+            np.subtract(2.0 * hi, x_new, out=x_new, where=mask)
+            reflections += above
+    if x_new.size and (x_new.min() < lo or x_new.max() > hi):
+        n_out = int(np.count_nonzero((x_new < lo) | (x_new > hi)))
         raise StepSizeError(
-            f"{int(out_of_domain.sum())} paths crossed both boundaries in one "
+            f"{n_out} paths crossed both boundaries in one "
             f"step of dt={dt!r}; reduce the step size"
         )
     return replace(
         ens, positions=x_new, t=t_new, n_reflections=ens.n_reflections + reflections
     )
-
-
-def _domain_width(sol: SimilaritySolution, t: float) -> float:
-    lo, hi = boundary_positions(sol, t)
-    if math.isinf(hi):
-        hi = effective_upper(sol, tail_mass=1e-6) * t**sol.alpha
-    return hi - lo
 
 
 def propagate(
@@ -151,31 +185,28 @@ def propagate(
 
     Substeps are capped so the boundary moves by less than
     ``boundary_motion_fraction`` of the domain width per step, on top of the
-    ``dt_max`` accuracy cap.
+    ``dt_max`` accuracy cap.  Half-line domains are measured up to where
+    the analytic tail mass falls below 1e-6.
     """
     if t_end <= ens.t:
         raise ValueError("t_end must exceed the ensemble time")
     alpha = sol.alpha
+    z_lo, z_hi = sol.profile.z_lo, effective_upper(sol, tail_mass=1e-6)
+    reduced_speed = max(abs(alpha * z_lo), abs(alpha * z_hi))
     while ens.t < t_end - 1e-15 * t_end:
-        width = _domain_width(sol, ens.t)
-        z_lo, z_hi = sol.profile.z_lo, sol.profile.z_hi
-        if math.isinf(z_hi):
-            z_hi = effective_upper(sol, tail_mass=1e-6)
-        speed = max(abs(alpha * z_lo), abs(alpha * z_hi)) * ens.t ** (alpha - 1.0)
+        t_alpha = ens.t**alpha
+        width = z_hi * t_alpha - z_lo * t_alpha
+        speed = reduced_speed * ens.t ** (alpha - 1.0)
         dt = dt_max if speed == 0.0 else min(dt_max, boundary_motion_fraction * width / speed)
         dt = min(dt, t_end - ens.t)
         ens = step_ensemble(ens, sol, dt)
     return ens
 
 
-def histogram_table(
+def _binned_densities(
     ens: PathEnsemble, sol: SimilaritySolution, n_bins: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bin centers, empirical bin-averaged density, analytic bin-averaged density.
-
-    Bins span the instantaneous domain (half-line domains truncated where
-    the analytic tail mass is negligible).
-    """
+    """Bin edges, empirical bin-averaged density, analytic bin-averaged density."""
     if n_bins < 10:
         raise ValueError("need at least 10 bins")
     if ens.positions.size == 0:
@@ -193,15 +224,25 @@ def histogram_table(
     z_tab, cdf = _cdf_table(sol)
     cdf_at_edges = np.interp(edges / t_alpha, z_tab, cdf, left=0.0, right=1.0)
     analytic = np.diff(cdf_at_edges) / width
+    return edges, empirical, analytic
+
+
+def histogram_table(
+    ens: PathEnsemble, sol: SimilaritySolution, n_bins: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bin centers, empirical bin-averaged density, analytic bin-averaged density.
+
+    Bins span the instantaneous domain (half-line domains truncated where
+    the analytic tail mass is negligible).
+    """
+    edges, empirical, analytic = _binned_densities(ens, sol, n_bins)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, empirical, analytic
 
 
 def histogram_distance(ens: PathEnsemble, sol: SimilaritySolution, n_bins: int) -> float:
     """L1 distance between bin-averaged empirical and analytic densities."""
-    _, empirical, analytic = histogram_table(ens, sol, n_bins)
-    lo, hi = boundary_positions(sol, ens.t)
-    if math.isinf(hi):
-        hi = effective_upper(sol, tail_mass=1e-9) * ens.t**sol.alpha
-    width = (hi - lo) / n_bins
+    edges, empirical, analytic = _binned_densities(ens, sol, n_bins)
+    # linspace puts both end edges exactly on the domain ends
+    width = (edges[-1] - edges[0]) / n_bins
     return float(np.abs(empirical - analytic).sum() * width)

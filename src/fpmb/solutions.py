@@ -258,7 +258,9 @@ class SimilaritySolution:
 
     ``norm_A`` is the normalization in use (``norm_A_source`` says which
     route produced it); both routes are retained so their agreement can be
-    asserted independently.
+    asserted independently.  ``drift_coefs`` and ``diffusion_coefs`` are the
+    coefficients of the quadratics rho1 and rho2 in ascending powers of z,
+    derived from the generated profiles at build time.
     """
 
     exponents: ScalingExponents
@@ -269,6 +271,8 @@ class SimilaritySolution:
     norm_A_closed: float
     norm_A_quadrature: float
     log_y: Callable
+    drift_coefs: tuple[float, float, float]
+    diffusion_coefs: tuple[float, float, float]
 
     @property
     def alpha(self) -> float:
@@ -277,6 +281,14 @@ class SimilaritySolution:
 
 _NORM_RTOL = 1e-12
 _BUILD_AGREEMENT_GUARD = 1e-6
+
+# Nodes, in units of a node step from z_lo that keeps them all inside the
+# domain: profiles are interpolated at the first three and checked at the rest.
+_PROFILE_NODES = np.array([1.0, 2.0, 3.0, 0.5, 1.5, 2.5, 3.5])
+_PROFILE_FIT_RTOL = 1e-12
+# a fitted coefficient whose share of the profile is below this fraction of
+# its scale is rounding noise and is set to exactly zero
+_PROFILE_ZERO_RTOL = 1e-14
 
 
 def _reduced_mass(params: SolutionClass, pieces: _Pieces, weight_power: int = 0) -> QuadratureResult:
@@ -325,6 +337,40 @@ def _sum_results(r1: QuadratureResult, r2: QuadratureResult) -> QuadratureResult
         r1.evaluations + r2.evaluations,
         r1.converged and r2.converged,
     )
+
+
+def _quadratic_coefs(
+    name: str, z: np.ndarray, values: np.ndarray, term_scale: float = 0.0
+) -> tuple[float, float, float]:
+    """Coefficients, ascending, of the quadratic through a profile's values.
+
+    The quadratic interpolates the first three of the nodes ``z`` (Newton
+    divided differences) and is checked at the others.  The profile's scale
+    is the larger of ``term_scale``, the size of the terms the profile is
+    computed from, and the size of the monomials c_k z^k at the nodes:
+    either bounds how well the quadratic can be evaluated.  Coefficients
+    whose monomials stay below _PROFILE_ZERO_RTOL of it are rounding noise
+    and set to exactly zero.  Raises RuntimeError unless the quadratic
+    reproduces the checked values to _PROFILE_FIT_RTOL of the scale.
+    """
+    zs, vs = z.tolist(), values.tolist()
+    (z0, z1, z2), (v0, v1, v2) = zs[:3], vs[:3]
+    d01 = (v1 - v0) / (z1 - z0)
+    c2 = ((v2 - v1) / (z2 - z1) - d01) / (z2 - z0)
+    coefs = [v0 - z0 * (d01 - c2 * z1), d01 - c2 * (z0 + z1), c2]
+    monomials = [[abs(c * zk**k) for k, c in enumerate(coefs)] for zk in zs]
+    scale = max(term_scale, max(sum(m) for m in monomials))
+    c0, c1, c2 = (
+        0.0 if max(m[k] for m in monomials) <= _PROFILE_ZERO_RTOL * scale else c
+        for k, c in enumerate(coefs)
+    )
+    err = max(abs(c0 + zk * (c1 + zk * c2) - vk) for zk, vk in zip(zs[3:], vs[3:]))
+    if not err <= _PROFILE_FIT_RTOL * scale:
+        raise RuntimeError(
+            f"generated {name} profile is not quadratic: off by {err:.3e} "
+            f"at a check node (scale {scale:.3e})"
+        )
+    return c0, c1, c2
 
 
 def _closed_form_norm(alpha: float, params: SolutionClass) -> float:
@@ -407,6 +453,22 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
     else:
         norm_a, source = norm_closed, "closed_form"
 
+    # rho2 is quadratic and rho1 = f rho2 + rho2' + alpha z has degree <= 2 in
+    # every family; the coefficients are read off the generated profiles,
+    # with a node step that needs no tail search on the half line
+    z_lo = pieces.z_lo
+    if math.isinf(pieces.z_hi):
+        step = max(1.0, (params.a1 + params.a2 + 2.0) / params.beta)
+    else:
+        step = 0.25 * (pieces.z_hi - z_lo)
+    z = z_lo + step * _PROFILE_NODES
+    rho1_z = rho1(z)
+    # |f rho2| <= |rho1| + |rho2'| + |alpha z| bounds every term rho1 is
+    # generated from
+    drift_terms = np.abs(rho1_z) + np.abs(pieces.rho2_prime(z)) + np.abs(alpha * z)
+    drift_coefs = _quadratic_coefs("drift", z, rho1_z, float(np.max(drift_terms)))
+    diffusion_coefs = _quadratic_coefs("diffusion", z, pieces.rho2(z))
+
     profile = ScaleInvariantProfile(
         rho1=rho1,
         rho2=pieces.rho2,
@@ -427,6 +489,8 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
         norm_A_closed=norm_closed,
         norm_A_quadrature=norm_quad,
         log_y=pieces.log_y,
+        drift_coefs=drift_coefs,
+        diffusion_coefs=diffusion_coefs,
     )
 
 
@@ -492,10 +556,12 @@ def current_from_definition(sol: SimilaritySolution, x, t: float):
 def coefficients(sol: SimilaritySolution, x, t: float):
     """Drift and diffusion coefficients (D1, D2) at (x, t); zero off-domain.
 
-    The profiles live on the closed reduced domain.  The diffusion profile
-    vanishes identically at finite endpoints; the drift closure built from
-    f * rho2 has a removable 0 * inf there, so it is evaluated one ulp
-    inside, which reproduces the continuous extension to full precision.
+    Both profiles are quadratics in the reduced coordinate z = x / t^alpha,
+    so on the closed domain D1 = t^(alpha-1) rho1(z) is evaluated in Horner
+    form from ``sol.drift_coefs``: finite at every endpoint, with no
+    removable 0 * inf left to dodge.  D2 = t^(2 alpha - 1) rho2(z) comes
+    from the diffusion profile's factored form, which vanishes exactly at
+    finite endpoints.
     """
     t = _check_time(t)
     t_alpha = t**sol.alpha
@@ -504,10 +570,8 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     p = sol.profile
     inside = (z >= p.z_lo) & (z <= p.z_hi)
     z_safe = np.where(inside, z, _interior_anchor(sol))
-    z_drift = np.clip(
-        z_safe, np.nextafter(p.z_lo, math.inf), np.nextafter(p.z_hi, -math.inf)
-    )
-    d1 = np.where(inside, t ** (sol.alpha - 1.0) * p.rho1(z_drift), 0.0)
+    c0, c1, c2 = sol.drift_coefs
+    d1 = np.where(inside, t ** (sol.alpha - 1.0) * (c0 + z_safe * (c1 + z_safe * c2)), 0.0)
     d2 = np.where(inside, t ** (2.0 * sol.alpha - 1.0) * p.rho2(z_safe), 0.0)
     if d1.ndim == 0:
         return float(d1), float(d2)

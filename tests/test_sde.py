@@ -1,10 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fpmb import boundary_positions, coefficients
+from fpmb import (
+    PRESETS,
+    ClassI,
+    ClassII,
+    ClassIII,
+    boundary_positions,
+    build_solution,
+    coefficients,
+    effective_upper,
+)
 from fpmb.sde import (
     PathEnsemble,
     StepSizeError,
@@ -115,6 +125,68 @@ class TestStep:
         ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
         with pytest.raises(ValueError):
             step_ensemble(ens, built_presets["fig1"], 0.0)
+
+
+def reference_step(ens, sol, dt):
+    """Euler-Maruyama step with per-path coefficients() and mirror reflection."""
+    x = ens.positions
+    d1, d2 = coefficients(sol, x, ens.t)
+    x_new = x + d1 * dt
+    x_new = x_new + np.sqrt(2.0 * np.maximum(d2, 0.0) * dt) * ens.rng.standard_normal(x.size)
+    lo, hi = boundary_positions(sol, ens.t + dt)
+    below = x_new < lo
+    x_new[below] = 2.0 * lo - x_new[below]
+    above = x_new > hi
+    x_new[above] = 2.0 * hi - x_new[above]
+    reflections = int(below.sum() + above.sum())
+    return dataclasses.replace(ens, positions=x_new, t=ens.t + dt,
+                               n_reflections=ens.n_reflections + reflections)
+
+
+def equivalence_models(built_presets):
+    """(solution, start time): the presets plus one random model per family."""
+    models = [(built_presets[name], PRESETS[name].times[0]) for name in PRESETS]
+    rng = np.random.default_rng(20261017)
+
+    def exponents():
+        return rng.uniform(0.4, 4.0), rng.uniform(0.4, 4.0)
+
+    z1 = rng.uniform(-3.0, 2.0)
+    a1, a2 = exponents()
+    models.append((build_solution(-rng.uniform(0.3, 3.0), ClassI(
+        z1=z1, z2=z1 + rng.uniform(0.5, 4.0), a1=a1, a2=a2)), 1.0))
+    a1, a2 = exponents()
+    models.append((build_solution(rng.uniform(0.3, 3.0), ClassII(
+        z2=rng.uniform(0.5, 5.0), a1=a1, a2=a2, beta=rng.uniform(-3.0, 3.0))), 1.0))
+    a1, a2 = exponents()
+    models.append((build_solution(-rng.uniform(0.3, 3.0), ClassIII(
+        z1=rng.uniform(0.0, 2.0), a1=a1, a2=a2, beta=rng.uniform(0.3, 3.0))), 1.0))
+    return models
+
+
+class TestQuadraticStepper:
+    def test_matches_reference_step(self, built_presets):
+        for sol, t0 in equivalence_models(built_presets):
+            ens = init_ensemble(sol, 20_000, t0, seed=12)
+            ref = init_ensemble(sol, 20_000, t0, seed=12)
+            for _ in range(100):
+                ens = step_ensemble(ens, sol, 1e-3)
+                ref = reference_step(ref, sol, 1e-3)
+            lo = boundary_positions(sol, ens.t)[0]
+            hi = effective_upper(sol, tail_mass=1e-6) * ens.t**sol.alpha
+            assert ens.t == ref.t
+            assert float(np.abs(ens.positions - ref.positions).max()) <= 1e-12 * (hi - lo)
+            assert ens.n_reflections == ref.n_reflections
+
+    def test_input_ensemble_unchanged(self, built_presets):
+        sol = built_presets["fig2"]  # shrinking domain: steps reflect paths
+        ens = init_ensemble(sol, 5000, 1.0, seed=13)
+        before = ens.positions.copy()
+        stepped = step_ensemble(ens, sol, 2e-3)
+        propagated = propagate(ens, sol, 1.05)
+        assert stepped.n_reflections > 0 and propagated.n_reflections > 0
+        assert np.array_equal(ens.positions, before)
+        assert ens.t == 1.0 and ens.n_reflections == 0
 
 
 class TestReproducibility:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
+from fpmb import solutions
 from fpmb import (
     ClassI,
     ClassII,
@@ -185,6 +187,28 @@ class TestCoefficients:
         assert coefficients(sol, lo, 1.0)[0] == pytest.approx(8.0, rel=1e-12)
         assert coefficients(sol, hi, 1.0)[0] == pytest.approx(3.5, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_drift_at_origin_endpoints(self, built_presets):
+        rng = np.random.default_rng(20261017)
+        for _ in range(5):
+            alpha = random_alpha(rng)
+            params = random_params(rng, "II")
+            sol = build_solution(alpha, params)
+            for t in (0.3, 1.0, 3.0):
+                d1, d2 = coefficients(sol, 0.0, t)
+                expected = (params.a1 + 1.0) * params.z2 * t ** (alpha - 1.0)
+                assert d1 == pytest.approx(expected, rel=1e-12)
+                assert d2 == 0.0
+            params = ClassIII(z1=0.0, a1=params.a1, a2=params.a2, beta=abs(params.beta) + 0.3)
+            sol = build_solution(alpha, params)
+            for t in (0.3, 1.0, 3.0):
+                assert coefficients(sol, 0.0, t) == (0.0, 0.0)
+        for sol in built_presets.values():
+            for t in (0.3, 1.0, 3.0):
+                for x in boundary_positions(sol, t):
+                    if math.isfinite(x):
+                        assert all(math.isfinite(c) for c in coefficients(sol, x, t))
+
     def test_zero_outside_moving_domain(self, built_presets):
         sol = built_presets["fig1"]
         lo, hi = boundary_positions(sol, 0.5)
@@ -199,6 +223,35 @@ class TestCoefficients:
                 d2_scaled = coefficients(sol, lam**alpha * x, lam * t)[1]
                 d2_base = coefficients(sol, x, t)[1]
                 assert d2_scaled == pytest.approx(lam ** (2 * alpha - 1) * d2_base, rel=1e-14)
+
+
+class TestQuadraticProfiles:
+    def test_coefficients_reproduce_generated_profiles(self, built_presets):
+        rng = np.random.default_rng(20261017)
+        sols = list(built_presets.values()) + [
+            build_solution(random_alpha(rng), random_params(rng, family))
+            for family in ("I", "II", "III")
+            for _ in range(5)
+        ]
+        for sol in sols:
+            z = interior_points(sol, 1000)
+            for coefs, profile in ((sol.drift_coefs, sol.profile.rho1),
+                                   (sol.diffusion_coefs, sol.profile.rho2)):
+                ref = profile(z)
+                err = np.max(np.abs(polyval(z, coefs) - ref))
+                assert err <= 1e-13 * np.max(np.abs(ref))
+
+    def test_non_quadratic_drift_rejected(self, monkeypatch):
+        generated = solutions.drift_from_f
+
+        def cubic_drift(*args):
+            rho1 = generated(*args)
+            return lambda z: rho1(z) + 1e-3 * np.asarray(z) ** 3
+
+        monkeypatch.setattr(solutions, "drift_from_f", cubic_drift)
+        for name in ("fig1", "fig4", "fig5"):
+            with pytest.raises(RuntimeError, match="not quadratic"):
+                preset_solution(name)
 
 
 class TestBoundaries:
