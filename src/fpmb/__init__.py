@@ -8,7 +8,6 @@ solver, and Monte Carlo path sampling.
 """
 
 from .scaling import (
-    ScaleInvariantProfile,
     ScalingExponents,
     drift_from_f,
     make_exponents,
@@ -51,7 +50,6 @@ from .specfun import (
 
 __all__ = [
     "ScalingExponents",
-    "ScaleInvariantProfile",
     "make_exponents",
     "similarity_variable",
     "drift_from_f",

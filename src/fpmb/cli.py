@@ -25,17 +25,16 @@ from .solutions import (
     PRESETS,
     SimilaritySolution,
     SolutionClass,
-    boundary_positions,
     build_solution,
     coefficients,
     current,
     current_from_definition,
     density,
-    effective_upper,
     first_integral_residual,
     interior_points,
     mass,
     reduced_ode_residual,
+    truncated_positions,
 )
 
 __all__ = [
@@ -236,9 +235,7 @@ def check_fpe_residual_order(sol: SimilaritySolution, t: float) -> CheckResult:
     Residual ratios under simultaneous halving of the space and time steps
     should be 4.0 +/- 0.4 (order two) at interior probe points.
     """
-    lo, hi = boundary_positions(sol, t)
-    if math.isinf(hi):
-        hi = effective_upper(sol, tail_mass=1e-9) * t**sol.alpha
+    lo, hi = truncated_positions(sol, t)
     width = hi - lo
     h = 0.01 * width
     dt = 0.01 * t
@@ -378,9 +375,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     sol = cfg.build()
     rows = []
     for t in cfg.times:
-        lo, hi = boundary_positions(sol, t)
-        if math.isinf(hi):
-            hi = effective_upper(sol, tail_mass=1e-9) * t**sol.alpha
+        lo, hi = truncated_positions(sol, t)
         for x in np.linspace(lo, hi, args.points):
             x = float(x)
             w = density(sol, x, t)

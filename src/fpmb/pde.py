@@ -10,8 +10,11 @@ whose stationary state is the reduced density y (the zero-flux first
 integral).  The flux F = (alpha z - rho1 + rho2') u + rho2 u' is
 discretized in finite-volume form with exponentially fitted
 (Chang-Cooper / Scharfetter-Gummel type) face weights, zero flux hard-set
-at the two boundary faces, and implicit Euler stepping in s.  Evolution
-must conserve mass to roundoff and relax onto y; that is the verification.
+at the two boundary faces, and implicit Euler stepping in s.  The drift
+to diffusion ratio (alpha z - rho1 + rho2') / rho2 is exactly -f = -y'/y,
+so the Peclet number integrated across a face is a difference of log y
+and needs no quadrature.  Evolution must conserve mass to roundoff and
+relax onto y; that is the verification.
 
 ``residual_original_coordinates`` is the complementary check in physical
 coordinates: central differences applied to the analytic density must
@@ -28,16 +31,16 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from . import specfun
 from .solutions import (
     SimilaritySolution,
-    boundary_positions,
     coefficients,
     density,
     effective_upper,
+    log_y,
     reduced_density,
+    rho2,
+    truncated_positions,
 )
-from .specfun import integrate_adaptive
 
 __all__ = [
     "ZGrid",
@@ -89,10 +92,10 @@ def make_grid(sol: SimilaritySolution, n_cells: int, *, tail_mass: float = 1e-12
     last face is below ``tail_mass``; zero flux is then applied at the
     truncation face.
     """
-    z_hi = sol.profile.z_hi
+    z_hi = sol.z_hi
     if math.isinf(z_hi):
         z_hi = effective_upper(sol, tail_mass=tail_mass)
-    return ZGrid(sol.profile.z_lo, z_hi, n_cells)
+    return ZGrid(sol.z_lo, z_hi, n_cells)
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,6 @@ class DiscreteOperator:
     """
 
     grid: ZGrid
-    face_diffusion: np.ndarray
-    face_drift: np.ndarray
     coeff_right: np.ndarray
     coeff_left: np.ndarray
 
@@ -167,81 +168,37 @@ class DiscreteOperator:
         ).tocsc()
 
 
-def _integrated_peclet(sol: SimilaritySolution, grid: ZGrid) -> np.ndarray:
-    """Peclet number per interior face: the integral of w / rho2 between the
-    adjacent cell centers, w = alpha z - rho1 + rho2'.
-
-    Integrating (rather than sampling the midpoint) keeps the exponential
-    fitting accurate where the drift-to-diffusion ratio varies fast across a
-    cell, which is exactly what happens next to the degenerate-diffusion
-    endpoints.  One vectorized Gauss-Kronrod panel per face, with adaptive
-    fallback for any face whose error estimate is poor.
-    """
-    p = sol.profile
-    alpha = sol.alpha
-
-    def ratio(z):
-        z = np.asarray(z, dtype=float)
-        return (alpha * z - p.rho1(z) + p.rho2_prime(z)) / p.rho2(z)
-
-    centers = grid.centers
-    lo = centers[:-1]
-    hi = centers[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * specfun._XGK[None, :]
-    fx = ratio(nodes)
-    kron = half * (fx @ specfun._WGK)
-    gauss = half * (fx[:, specfun._G_IDX] @ specfun._WG)
-    err = np.abs(kron - gauss)
-    poor = err > 1e-11 * (np.abs(kron) + 1.0)
-    for idx in np.nonzero(poor)[0]:
-        res = integrate_adaptive(ratio, lo[idx], hi[idx], 0.0, rtol=1e-12, max_panels=64)
-        kron[idx] = res.value
-    return kron
-
-
 def transformed_operator(sol: SimilaritySolution, grid: ZGrid) -> DiscreteOperator:
     """Assemble the finite-volume operator for a solution on its grid.
 
     Face conductances use the diffusion rho2 at the face; the exponential
-    weights use the integrated Peclet number across the face's cell-center
-    interval.  Both are built from the coefficient profiles alone.  The two
-    boundary faces are hard-set to zero flux rather than evaluated, which
-    matches the impenetrable-boundary condition exactly and avoids 0/0 in
-    the fitting where rho2 degenerates.
+    weights use the Peclet number integrated across the face's cell-center
+    interval.  The drift to diffusion ratio is -f = -(log y)', so that
+    integral is exactly log y(c_j) - log y(c_{j+1}), which stays accurate
+    where the ratio varies fast across a cell, next to the
+    degenerate-diffusion endpoints.  The two boundary faces are hard-set to
+    zero flux rather than evaluated, which matches the impenetrable-boundary
+    condition exactly and avoids 0/0 in the fitting where rho2 degenerates.
     """
-    p = sol.profile
-    if abs(grid.z_lo - p.z_lo) > 1e-12 * max(1.0, abs(p.z_lo)):
+    if abs(grid.z_lo - sol.z_lo) > 1e-12 * max(1.0, abs(sol.z_lo)):
         raise ValueError("grid does not start at the domain's lower endpoint")
-    if not math.isinf(p.z_hi) and abs(grid.z_hi - p.z_hi) > 1e-12 * max(1.0, abs(p.z_hi)):
+    if not math.isinf(sol.z_hi) and abs(grid.z_hi - sol.z_hi) > 1e-12 * max(1.0, abs(sol.z_hi)):
         raise ValueError("grid does not end at the domain's upper endpoint")
-    if math.isinf(p.z_hi) and grid.z_hi <= grid.z_lo + 10 * grid.h:
+    if math.isinf(sol.z_hi) and grid.z_hi <= grid.z_lo + 10 * grid.h:
         raise ValueError("truncated grid is too short for the half-line domain")
 
     n = grid.n_cells
-    h = grid.h
-    interior = grid.faces[1:-1]
-    d_face = np.zeros(n + 1)
-    w_face = np.zeros(n + 1)
-    d_face[1:-1] = p.rho2(interior)
-    w_face[1:-1] = sol.alpha * interior - p.rho1(interior) + p.rho2_prime(interior)
-    if np.any(d_face[1:-1] <= 0.0):
+    d_face = rho2(sol, grid.faces[1:-1])
+    if np.any(d_face <= 0.0):
         raise ValueError("diffusion profile must be positive at interior faces")
 
-    peclet = _integrated_peclet(sol, grid)
+    log_y_centers = log_y(sol, grid.centers)
+    peclet = log_y_centers[:-1] - log_y_centers[1:]
     coeff_right = np.zeros(n + 1)
     coeff_left = np.zeros(n + 1)
-    coeff_right[1:-1] = d_face[1:-1] * _bernoulli(-peclet) / h**2
-    coeff_left[1:-1] = d_face[1:-1] * _bernoulli(peclet) / h**2
-
-    return DiscreteOperator(
-        grid=grid,
-        face_diffusion=d_face,
-        face_drift=w_face,
-        coeff_right=coeff_right,
-        coeff_left=coeff_left,
-    )
+    coeff_right[1:-1] = d_face * _bernoulli(-peclet) / grid.h**2
+    coeff_left[1:-1] = d_face * _bernoulli(peclet) / grid.h**2
+    return DiscreteOperator(grid=grid, coeff_right=coeff_right, coeff_left=coeff_left)
 
 
 _MASS_DRIFT_TOL = 1e-12
@@ -389,9 +346,7 @@ def probe_window(sol: SimilaritySolution, t: float, h: float, dt: float) -> tupl
     """Interval staying strictly inside the moving domain for t-dt..t+dt."""
     los, his = [], []
     for tt in (t - dt, t, t + dt):
-        lo, hi = boundary_positions(sol, tt)
-        if math.isinf(hi):
-            hi = effective_upper(sol, tail_mass=1e-9) * tt**sol.alpha
+        lo, hi = truncated_positions(sol, tt)
         los.append(lo)
         his.append(hi)
     lo = max(los)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 __all__ = [
     "ScalingExponents",
-    "ScaleInvariantProfile",
     "make_exponents",
     "similarity_variable",
     "drift_from_f",
@@ -74,44 +73,13 @@ def similarity_variable(x, t, alpha: float):
     return float(z) if z.ndim == 0 else z
 
 
-@dataclass(frozen=True)
-class ScaleInvariantProfile:
-    """Reduced drift/diffusion profiles and the shape function f on (z_lo, z_hi).
-
-    f is the log-derivative of the reduced density and satisfies
-    f = (rho1 - rho2' - alpha z) / rho2 identically on the open domain.
-    Derivatives are supplied analytically (every rho2 here is quadratic);
-    they are part of the profile so residual checks never differentiate
-    numerically.
-    """
-
-    rho1: Callable
-    rho2: Callable
-    f: Callable
-    z_lo: float
-    z_hi: float
-    rho1_prime: Callable
-    rho2_prime: Callable
-    rho2_second: Callable
-    f_prime: Callable
-
-    def __post_init__(self) -> None:
-        if not self.z_lo < self.z_hi:
-            raise ValueError(f"need z_lo < z_hi, got [{self.z_lo!r}, {self.z_hi!r}]")
-
-
-def drift_from_f(f: Callable, rho2: Callable, rho2_prime: Callable, alpha: float) -> Callable:
+def drift_from_f(f_rho2, rho2, alpha: float) -> np.ndarray:
     """Drift profile implied by a shape function and diffusion profile.
 
-    Inverts the definition of f:  rho1(z) = f(z) rho2(z) + rho2'(z) + alpha z.
-    This is the constructor used by every solvable family, so the
-    self-consistency relation holds by construction rather than by
-    transcription.
+    Inverts the definition of f:  rho1 = f rho2 + rho2' + alpha z, on
+    polynomial coefficients in ascending powers of z: ``f_rho2`` is the
+    product f rho2 and ``rho2`` the diffusion profile.  This is the
+    constructor used by every solvable family, so the drift is generated
+    from f rather than transcribed.
     """
-
-    def rho1(z):
-        z = np.asarray(z, dtype=float)
-        out = f(z) * rho2(z) + rho2_prime(z) + alpha * z
-        return float(out) if out.ndim == 0 else out
-
-    return rho1
+    return P.polyadd(P.polyadd(f_rho2, P.polyder(rho2)), (0.0, alpha))

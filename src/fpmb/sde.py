@@ -30,6 +30,7 @@ from .solutions import (
     boundary_positions,
     effective_upper,
     reduced_density,
+    truncated_positions,
 )
 
 __all__ = [
@@ -68,7 +69,7 @@ _CDF_TABLE_POINTS = 10_001
 @functools.lru_cache(maxsize=64)
 def _cdf_table(sol: SimilaritySolution, *, tail_mass: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     z_hi = effective_upper(sol, tail_mass=tail_mass)
-    z = np.linspace(sol.profile.z_lo, z_hi, _CDF_TABLE_POINTS)
+    z = np.linspace(sol.z_lo, z_hi, _CDF_TABLE_POINTS)
     y = reduced_density(sol, z)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(z))])
     cdf /= cdf[-1]
@@ -191,7 +192,7 @@ def propagate(
     if t_end <= ens.t:
         raise ValueError("t_end must exceed the ensemble time")
     alpha = sol.alpha
-    z_lo, z_hi = sol.profile.z_lo, effective_upper(sol, tail_mass=1e-6)
+    z_lo, z_hi = sol.z_lo, effective_upper(sol, tail_mass=1e-6)
     reduced_speed = max(abs(alpha * z_lo), abs(alpha * z_hi))
     while ens.t < t_end - 1e-15 * t_end:
         t_alpha = ens.t**alpha
@@ -211,9 +212,7 @@ def _binned_densities(
         raise ValueError("need at least 10 bins")
     if ens.positions.size == 0:
         raise ValueError("empty ensemble")
-    lo, hi = boundary_positions(sol, ens.t)
-    if math.isinf(hi):
-        hi = effective_upper(sol, tail_mass=1e-9) * ens.t**sol.alpha
+    lo, hi = truncated_positions(sol, ens.t)
     edges = np.linspace(lo, hi, n_bins + 1)
     width = edges[1] - edges[0]
     counts, _ = np.histogram(ens.positions, bins=edges)

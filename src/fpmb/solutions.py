@@ -1,12 +1,19 @@
 """The three exactly solvable families of moving-domain drift-diffusion models.
 
-Each family is defined by the shape function f (log-derivative of the
-reduced density y) together with a quadratic diffusion profile rho2 that
-vanishes at the finite endpoints of the reduced domain.  The drift profile
-rho1 is always *generated* from (f, rho2) through ``scaling.drift_from_f``,
-never written out by hand: the self-consistency identities then hold by
-construction, and mistranscribed or corrupted coefficients are detectable
-by the residual checks below.
+All three are one Pearson family (the Pearson diffusions of Forman and
+Sorensen, Scand. J. Stat. 35, 2008): the reduced density is
+
+    y(z) = A l1(z)^a1 l2(z)^a2 e^(b z),
+
+with linear factors l1, l2 that are positive on the open domain (each
+finite endpoint is a root of one of them), and the diffusion profile is
+the quadratic rho2 = l1 l2.  A solution is stored as plain numbers: the
+factors, the rate b and the domain.  The shape function f = y'/y gives
+the polynomial f rho2 = a1 l1' l2 + a2 l2' l1 + b l1 l2, and the drift
+profile rho1 is *generated* from it through ``scaling.drift_from_f``,
+never written out by hand.  The residual checks below evaluate the
+generated coefficients against f pointwise, so mistranscribed or
+corrupted coefficients are detectable.
 
 The physical density is W(x, t) = t^{-alpha} y(x / t^alpha) with y
 normalized to unit mass; domain endpoints move as z_k t^alpha.
@@ -14,21 +21,19 @@ normalized to unit mass; domain endpoints move as z_k t^alpha.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .scaling import (
-    ScaleInvariantProfile,
-    ScalingExponents,
-    drift_from_f,
-    make_exponents,
-)
+from .scaling import ScalingExponents, drift_from_f, make_exponents
 from .specfun import (
     QuadratureResult,
+    _combine,
     integrate_adaptive,
     kummer_1f1,
     ln_beta,
@@ -47,12 +52,17 @@ __all__ = [
     "build_solution",
     "preset_solution",
     "mirror",
+    "log_y",
+    "f",
+    "f_prime",
+    "rho2",
     "density",
     "reduced_density",
     "current",
     "current_from_definition",
     "coefficients",
     "boundary_positions",
+    "truncated_positions",
     "moment",
     "mass",
     "first_integral_residual",
@@ -94,6 +104,10 @@ class ClassI:
             return "iii"
         return "i"
 
+    def linear_factors(self):
+        """Pearson form: (factors, rate, z_lo, z_hi) of (z - z1)^a1 (z2 - z)^a2."""
+        return ((self.z1, 1.0, self.a1), (self.z2, -1.0, self.a2)), 0.0, self.z1, self.z2
+
 
 @dataclass(frozen=True)
 class ClassII:
@@ -110,6 +124,10 @@ class ClassII:
             raise ValueError(f"need z2 > 0, got {self.z2!r}")
         if not math.isfinite(self.beta):
             raise ValueError("beta must be finite")
+
+    def linear_factors(self):
+        """Pearson form: (factors, rate, z_lo, z_hi) of z^a1 (z2 - z)^a2 e^(beta z)."""
+        return ((0.0, 1.0, self.a1), (self.z2, -1.0, self.a2)), self.beta, 0.0, self.z2
 
 
 @dataclass(frozen=True)
@@ -133,6 +151,10 @@ class ClassIII:
         if not self.beta > 0.0:
             raise ValueError(f"need beta > 0 for a normalizable tail, got {self.beta!r}")
 
+    def linear_factors(self):
+        """Pearson form: (factors, rate, z_lo, z_hi) of (z - z1)^a1 z^a2 e^(-beta z)."""
+        return ((self.z1, 1.0, self.a1), (0.0, 1.0, self.a2)), -self.beta, self.z1, math.inf
+
 
 SolutionClass = Union[ClassI, ClassII, ClassIII]
 
@@ -153,126 +175,32 @@ def mirror(params: SolutionClass) -> SolutionClass:
 
 
 @dataclass(frozen=True)
-class _Pieces:
-    f: Callable
-    f_prime: Callable
-    rho2: Callable
-    rho2_prime: Callable
-    rho2_second: Callable
-    log_y: Callable
-    z_lo: float
-    z_hi: float
-
-
-def _pieces_class_i(p: ClassI) -> _Pieces:
-    z1, z2, a1, a2 = p.z1, p.z2, p.a1, p.a2
-
-    def f(z):
-        return a1 / (z - z1) - a2 / (z2 - z)
-
-    def f_prime(z):
-        return -a1 / (z - z1) ** 2 - a2 / (z2 - z) ** 2
-
-    def rho2(z):
-        return (z - z1) * (z2 - z)
-
-    def rho2_prime(z):
-        return (z1 + z2) - 2.0 * np.asarray(z, dtype=float)
-
-    def rho2_second(z):
-        return -2.0 + 0.0 * np.asarray(z, dtype=float)
-
-    def log_y(z):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
-            return a1 * np.log(z - z1) + a2 * np.log(z2 - z)
-
-    return _Pieces(f, f_prime, rho2, rho2_prime, rho2_second, log_y, z1, z2)
-
-
-def _pieces_class_ii(p: ClassII) -> _Pieces:
-    z2, a1, a2, beta = p.z2, p.a1, p.a2, p.beta
-
-    def f(z):
-        return a1 / z - a2 / (z2 - z) + beta
-
-    def f_prime(z):
-        return -a1 / z**2 - a2 / (z2 - z) ** 2
-
-    def rho2(z):
-        return z * (z2 - z)
-
-    def rho2_prime(z):
-        return z2 - 2.0 * np.asarray(z, dtype=float)
-
-    def rho2_second(z):
-        return -2.0 + 0.0 * np.asarray(z, dtype=float)
-
-    def log_y(z):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
-            return a1 * np.log(z) + a2 * np.log(z2 - z) + beta * z
-
-    return _Pieces(f, f_prime, rho2, rho2_prime, rho2_second, log_y, 0.0, z2)
-
-
-def _pieces_class_iii(p: ClassIII) -> _Pieces:
-    z1, a1, a2, beta = p.z1, p.a1, p.a2, p.beta
-
-    def f(z):
-        return a1 / (z - z1) + a2 / z - beta
-
-    def f_prime(z):
-        return -a1 / (z - z1) ** 2 - a2 / z**2
-
-    def rho2(z):
-        return (z - z1) * z
-
-    def rho2_prime(z):
-        return 2.0 * np.asarray(z, dtype=float) - z1
-
-    def rho2_second(z):
-        return 2.0 + 0.0 * np.asarray(z, dtype=float)
-
-    def log_y(z):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore"):
-            return a1 * np.log(z - z1) + a2 * np.log(z) - beta * z
-
-    return _Pieces(f, f_prime, rho2, rho2_prime, rho2_second, log_y, z1, math.inf)
-
-
-def _pieces(params: SolutionClass) -> _Pieces:
-    if isinstance(params, ClassI):
-        return _pieces_class_i(params)
-    if isinstance(params, ClassII):
-        return _pieces_class_ii(params)
-    if isinstance(params, ClassIII):
-        return _pieces_class_iii(params)
-    raise TypeError(f"unsupported parameter set: {params!r}")
-
-
-@dataclass(frozen=True)
 class SimilaritySolution:
-    """A fully constructed solvable model, immutable after build.
+    """A fully constructed solvable model: plain numbers, immutable and hashable.
 
-    ``norm_A`` is the normalization in use (``norm_A_source`` says which
-    route produced it); both routes are retained so their agreement can be
-    asserted independently.  ``drift_coefs`` and ``diffusion_coefs`` are the
-    coefficients of the quadratics rho1 and rho2 in ascending powers of z,
-    derived from the generated profiles at build time.
+    The reduced density is y = norm_A l1^a1 l2^a2 e^(rate z) on
+    (z_lo, z_hi).  Each entry of ``factors`` is a linear factor
+    (root r, orientation s, exponent a), with l(z) = z - r for s = +1 and
+    r - z for s = -1.  ``drift_coefs`` and ``diffusion_coefs`` are the
+    coefficients of the quadratics rho1 and rho2 = l1 l2 in ascending powers
+    of z, generated from the factors at build time.  ``norm_A`` is the
+    normalization in use (``norm_A_source`` says which route produced it);
+    both routes are retained so their agreement can be asserted
+    independently.
     """
 
     exponents: ScalingExponents
     class_params: SolutionClass
-    profile: ScaleInvariantProfile
+    factors: tuple[tuple[float, float, float], tuple[float, float, float]]
+    rate: float
+    z_lo: float
+    z_hi: float
+    drift_coefs: tuple[float, float, float]
+    diffusion_coefs: tuple[float, float, float]
     norm_A: float
     norm_A_source: str
     norm_A_closed: float
     norm_A_quadrature: float
-    log_y: Callable
-    drift_coefs: tuple[float, float, float]
-    diffusion_coefs: tuple[float, float, float]
 
     @property
     def alpha(self) -> float:
@@ -282,95 +210,101 @@ class SimilaritySolution:
 _NORM_RTOL = 1e-12
 _BUILD_AGREEMENT_GUARD = 1e-6
 
-# Nodes, in units of a node step from z_lo that keeps them all inside the
-# domain: profiles are interpolated at the first three and checked at the rest.
-_PROFILE_NODES = np.array([1.0, 2.0, 3.0, 0.5, 1.5, 2.5, 3.5])
-_PROFILE_FIT_RTOL = 1e-12
-# a fitted coefficient whose share of the profile is below this fraction of
-# its scale is rounding noise and is set to exactly zero
-_PROFILE_ZERO_RTOL = 1e-14
+
+def _linear(factor: tuple[float, float, float], z):
+    root, orientation, _ = factor
+    return z - root if orientation > 0.0 else root - z
 
 
-def _reduced_mass(params: SolutionClass, pieces: _Pieces, weight_power: int = 0) -> QuadratureResult:
+def log_y(sol: SimilaritySolution, z):
+    """Unnormalized log density a1 log l1 + a2 log l2 + rate z (-inf at a root)."""
+    z = np.asarray(z, dtype=float)
+    f1, f2 = sol.factors
+    with np.errstate(divide="ignore"):
+        out = f1[2] * np.log(_linear(f1, z)) + f2[2] * np.log(_linear(f2, z))
+    return out + sol.rate * z if sol.rate else out
+
+
+def f(sol: SimilaritySolution, z):
+    """Shape function f = y'/y = a1 l1'/l1 + a2 l2'/l2 + rate."""
+    z = np.asarray(z, dtype=float)
+    f1, f2 = sol.factors
+    return f1[1] * f1[2] / _linear(f1, z) + f2[1] * f2[2] / _linear(f2, z) + sol.rate
+
+
+def f_prime(sol: SimilaritySolution, z):
+    """Derivative of the shape function, -a1 / l1^2 - a2 / l2^2."""
+    z = np.asarray(z, dtype=float)
+    f1, f2 = sol.factors
+    return -f1[2] / _linear(f1, z) ** 2 - f2[2] / _linear(f2, z) ** 2
+
+
+def rho2(sol: SimilaritySolution, z):
+    """Diffusion profile in factored form l1 l2: exactly zero at finite endpoints."""
+    z = np.asarray(z, dtype=float)
+    f1, f2 = sol.factors
+    return _linear(f1, z) * _linear(f2, z)
+
+
+def _quadratic(coefs: tuple[float, float, float], z):
+    c0, c1, c2 = coefs
+    return c0 + z * (c1 + z * c2)
+
+
+def _quadratic_prime(coefs: tuple[float, float, float], z):
+    _, c1, c2 = coefs
+    return c1 + 2.0 * c2 * z
+
+
+def _tail_start(sol: SimilaritySolution, weight_power: int = 0) -> float:
+    """A point on the half line past the peak of z^k y, k = weight_power."""
+    (_, _, a1), (_, _, a2) = sol.factors
+    return sol.z_lo + max(1.0, (a1 + a2 + 2.0 + weight_power) / -sol.rate)
+
+
+def _reduced_mass(sol: SimilaritySolution, weight_power: int = 0) -> QuadratureResult:
     """Quadrature of z^k * exp(log_y) over the reduced domain.
 
     Splits at an interior point and integrates each half with the endpoint
     behavior made explicit, reflecting the upper half so both singular
-    endpoints sit at a lower limit.
+    endpoints sit at a lower limit.  Near a finite endpoint e the integrand
+    goes like (z - e)^p, p the exponents of the factors with root e, plus k
+    when e = 0.
     """
     k = weight_power
 
     def integrand(z):
         z = np.asarray(z, dtype=float)
-        return z**k * np.exp(pieces.log_y(z))
+        return z**k * np.exp(log_y(sol, z))
 
-    z_lo = pieces.z_lo
-    if isinstance(params, ClassIII):
-        split = z_lo + max(1.0, (params.a1 + params.a2 + 2.0 + k) / params.beta)
-        p_lo = params.a1 + (params.a2 + k if z_lo == 0.0 else 0.0)
+    def endpoint_power(e: float) -> float:
+        p = sum(a for root, _, a in sol.factors if root == e)
+        return p + k if e == 0.0 else p
+
+    z_lo = sol.z_lo
+    if math.isinf(sol.z_hi):
+        split = _tail_start(sol, k)
         left = integrate_adaptive(integrand, z_lo, split, 0.0, rtol=_NORM_RTOL,
-                                  endpoint_power=p_lo)
+                                  endpoint_power=endpoint_power(z_lo))
         right = integrate_adaptive(integrand, split, math.inf, 0.0, rtol=_NORM_RTOL)
-        return _sum_results(left, right)
+        return _combine(left, right)
 
-    z_hi = pieces.z_hi
+    z_hi = sol.z_hi
     mid = 0.5 * (z_lo + z_hi)
-    a1 = params.a1
-    a2 = params.a2
-    p_lo = a1 + (k if z_lo == 0.0 else 0)
-    p_hi = a2 + (k if z_hi == 0.0 else 0)
     left = integrate_adaptive(integrand, z_lo, mid, 0.0, rtol=_NORM_RTOL,
-                              endpoint_power=p_lo)
+                              endpoint_power=endpoint_power(z_lo))
 
     def reflected(u):
         return integrand(z_hi - np.asarray(u, dtype=float))
 
     right = integrate_adaptive(reflected, 0.0, z_hi - mid, 0.0, rtol=_NORM_RTOL,
-                               endpoint_power=p_hi)
-    return _sum_results(left, right)
+                               endpoint_power=endpoint_power(z_hi))
+    return _combine(left, right)
 
 
-def _sum_results(r1: QuadratureResult, r2: QuadratureResult) -> QuadratureResult:
-    return QuadratureResult(
-        r1.value + r2.value,
-        r1.abs_error_estimate + r2.abs_error_estimate,
-        r1.evaluations + r2.evaluations,
-        r1.converged and r2.converged,
-    )
-
-
-def _quadratic_coefs(
-    name: str, z: np.ndarray, values: np.ndarray, term_scale: float = 0.0
-) -> tuple[float, float, float]:
-    """Coefficients, ascending, of the quadratic through a profile's values.
-
-    The quadratic interpolates the first three of the nodes ``z`` (Newton
-    divided differences) and is checked at the others.  The profile's scale
-    is the larger of ``term_scale``, the size of the terms the profile is
-    computed from, and the size of the monomials c_k z^k at the nodes:
-    either bounds how well the quadratic can be evaluated.  Coefficients
-    whose monomials stay below _PROFILE_ZERO_RTOL of it are rounding noise
-    and set to exactly zero.  Raises RuntimeError unless the quadratic
-    reproduces the checked values to _PROFILE_FIT_RTOL of the scale.
-    """
-    zs, vs = z.tolist(), values.tolist()
-    (z0, z1, z2), (v0, v1, v2) = zs[:3], vs[:3]
-    d01 = (v1 - v0) / (z1 - z0)
-    c2 = ((v2 - v1) / (z2 - z1) - d01) / (z2 - z0)
-    coefs = [v0 - z0 * (d01 - c2 * z1), d01 - c2 * (z0 + z1), c2]
-    monomials = [[abs(c * zk**k) for k, c in enumerate(coefs)] for zk in zs]
-    scale = max(term_scale, max(sum(m) for m in monomials))
-    c0, c1, c2 = (
-        0.0 if max(m[k] for m in monomials) <= _PROFILE_ZERO_RTOL * scale else c
-        for k, c in enumerate(coefs)
-    )
-    err = max(abs(c0 + zk * (c1 + zk * c2) - vk) for zk, vk in zip(zs[3:], vs[3:]))
-    if not err <= _PROFILE_FIT_RTOL * scale:
-        raise RuntimeError(
-            f"generated {name} profile is not quadratic: off by {err:.3e} "
-            f"at a check node (scale {scale:.3e})"
-        )
-    return c0, c1, c2
+def _quadratic_tuple(coefs) -> tuple[float, float, float]:
+    """Ascending coefficients as plain floats, padded to length 3."""
+    return tuple(map(float, coefs)) + (0.0,) * (3 - len(coefs))
 
 
 def _closed_form_norm(alpha: float, params: SolutionClass) -> float:
@@ -412,28 +346,36 @@ def _closed_form_norm(alpha: float, params: SolutionClass) -> float:
 def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
     """Construct a solvable model for the given scaling exponent and family.
 
-    The drift profile comes from ``drift_from_f``; the normalization is
-    computed both in closed form and by quadrature and the two are required
-    to agree.  The closed form is authoritative for the finite-domain
-    families; the half-line family keeps the quadrature value (its closed
-    form is retained as a cross-check only).
+    rho2 = l1 l2 and f rho2 = a1 l1' l2 + a2 l2' l1 + b l1 l2 are multiplied
+    out exactly, and the drift profile comes from ``drift_from_f``; the
+    normalization is computed both in closed form and by quadrature and the
+    two are required to agree.  The closed form is authoritative for the
+    finite-domain families; the half-line family keeps the quadrature value
+    (its closed form is retained as a cross-check only).
     """
     exponents = make_exponents(alpha)
-    pieces = _pieces(params)
+    factors, rate, z_lo, z_hi = params.linear_factors()
+    (r1, s1, a1), (r2, s2, a2) = factors
+    l1 = np.array([-s1 * r1, s1])
+    l2 = np.array([-s2 * r2, s2])
+    rho2_coefs = P.polymul(l1, l2)
+    f_rho2 = P.polyadd(P.polyadd(a1 * s1 * l2, a2 * s2 * l1), rate * rho2_coefs)
+    shape = SimilaritySolution(
+        exponents=exponents,
+        class_params=params,
+        factors=factors,
+        rate=rate,
+        z_lo=z_lo,
+        z_hi=z_hi,
+        drift_coefs=_quadratic_tuple(drift_from_f(f_rho2, rho2_coefs, alpha)),
+        diffusion_coefs=_quadratic_tuple(rho2_coefs),
+        norm_A=math.nan,
+        norm_A_source="",
+        norm_A_closed=math.nan,
+        norm_A_quadrature=math.nan,
+    )
 
-    rho1 = drift_from_f(pieces.f, pieces.rho2, pieces.rho2_prime, alpha)
-
-    def rho1_prime(z):
-        z = np.asarray(z, dtype=float)
-        out = (
-            pieces.f_prime(z) * pieces.rho2(z)
-            + pieces.f(z) * pieces.rho2_prime(z)
-            + pieces.rho2_second(z)
-            + alpha
-        )
-        return float(out) if out.ndim == 0 else out
-
-    quad = _reduced_mass(params, pieces)
+    quad = _reduced_mass(shape)
     if not quad.converged:
         raise RuntimeError(
             f"normalization quadrature failed for {params!r}: "
@@ -448,49 +390,16 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
             f"vs quadrature {norm_quad!r} (rel {rel:.3e})"
         )
 
-    if isinstance(params, ClassIII):
+    if math.isinf(z_hi):
         norm_a, source = norm_quad, "quadrature"
     else:
         norm_a, source = norm_closed, "closed_form"
-
-    # rho2 is quadratic and rho1 = f rho2 + rho2' + alpha z has degree <= 2 in
-    # every family; the coefficients are read off the generated profiles,
-    # with a node step that needs no tail search on the half line
-    z_lo = pieces.z_lo
-    if math.isinf(pieces.z_hi):
-        step = max(1.0, (params.a1 + params.a2 + 2.0) / params.beta)
-    else:
-        step = 0.25 * (pieces.z_hi - z_lo)
-    z = z_lo + step * _PROFILE_NODES
-    rho1_z = rho1(z)
-    # |f rho2| <= |rho1| + |rho2'| + |alpha z| bounds every term rho1 is
-    # generated from
-    drift_terms = np.abs(rho1_z) + np.abs(pieces.rho2_prime(z)) + np.abs(alpha * z)
-    drift_coefs = _quadratic_coefs("drift", z, rho1_z, float(np.max(drift_terms)))
-    diffusion_coefs = _quadratic_coefs("diffusion", z, pieces.rho2(z))
-
-    profile = ScaleInvariantProfile(
-        rho1=rho1,
-        rho2=pieces.rho2,
-        f=pieces.f,
-        z_lo=pieces.z_lo,
-        z_hi=pieces.z_hi,
-        rho1_prime=rho1_prime,
-        rho2_prime=pieces.rho2_prime,
-        rho2_second=pieces.rho2_second,
-        f_prime=pieces.f_prime,
-    )
-    return SimilaritySolution(
-        exponents=exponents,
-        class_params=params,
-        profile=profile,
+    return dataclasses.replace(
+        shape,
         norm_A=norm_a,
         norm_A_source=source,
         norm_A_closed=norm_closed,
         norm_A_quadrature=norm_quad,
-        log_y=pieces.log_y,
-        drift_coefs=drift_coefs,
-        diffusion_coefs=diffusion_coefs,
     )
 
 
@@ -502,16 +411,15 @@ def _check_time(t: float) -> float:
 
 
 def _interior_anchor(sol: SimilaritySolution) -> float:
-    z_lo, z_hi = sol.profile.z_lo, sol.profile.z_hi
-    return z_lo + 1.0 if math.isinf(z_hi) else 0.5 * (z_lo + z_hi)
+    return sol.z_lo + 1.0 if math.isinf(sol.z_hi) else 0.5 * (sol.z_lo + sol.z_hi)
 
 
 def reduced_density(sol: SimilaritySolution, z):
     """Normalized reduced density y(z); zero outside the open domain."""
     z = np.asarray(z, dtype=float)
-    inside = (z > sol.profile.z_lo) & (z < sol.profile.z_hi)
+    inside = (z > sol.z_lo) & (z < sol.z_hi)
     z_safe = np.where(inside, z, _interior_anchor(sol))
-    out = np.where(inside, sol.norm_A * np.exp(sol.log_y(z_safe)), 0.0)
+    out = np.where(inside, sol.norm_A * np.exp(log_y(sol, z_safe)), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -535,20 +443,20 @@ def current(sol: SimilaritySolution, x, t: float):
 def current_from_definition(sol: SimilaritySolution, x, t: float):
     """Current from its defining combination D1 W - d/dx (D2 W).
 
-    Evaluated with analytic derivatives of the profile pieces; agreement
-    with ``current`` is a consistency check, and breaks if any profile is
-    tampered with.
+    rho1 comes from ``sol.drift_coefs``, the derivatives from f and the
+    diffusion coefficients; agreement with ``current`` is a consistency
+    check, and breaks if the drift coefficients are tampered with.
     """
     t = _check_time(t)
     t_alpha = t**sol.alpha
     x = np.asarray(x, dtype=float)
     z = x / t_alpha
-    p = sol.profile
-    inside = (z > p.z_lo) & (z < p.z_hi)
+    inside = (z > sol.z_lo) & (z < sol.z_hi)
     z_safe = np.where(inside, z, _interior_anchor(sol))
-    y = sol.norm_A * np.exp(sol.log_y(z_safe))
-    y_prime = p.f(z_safe) * y
-    val = (p.rho1(z_safe) - p.rho2_prime(z_safe)) * y - p.rho2(z_safe) * y_prime
+    y = sol.norm_A * np.exp(log_y(sol, z_safe))
+    y_prime = f(sol, z_safe) * y
+    drift = _quadratic(sol.drift_coefs, z_safe) - _quadratic_prime(sol.diffusion_coefs, z_safe)
+    val = drift * y - rho2(sol, z_safe) * y_prime
     out = np.where(inside, val / t, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -560,19 +468,17 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     so on the closed domain D1 = t^(alpha-1) rho1(z) is evaluated in Horner
     form from ``sol.drift_coefs``: finite at every endpoint, with no
     removable 0 * inf left to dodge.  D2 = t^(2 alpha - 1) rho2(z) comes
-    from the diffusion profile's factored form, which vanishes exactly at
-    finite endpoints.
+    from the factored form l1 l2, which vanishes exactly at finite
+    endpoints.
     """
     t = _check_time(t)
     t_alpha = t**sol.alpha
     x = np.asarray(x, dtype=float)
     z = x / t_alpha
-    p = sol.profile
-    inside = (z >= p.z_lo) & (z <= p.z_hi)
+    inside = (z >= sol.z_lo) & (z <= sol.z_hi)
     z_safe = np.where(inside, z, _interior_anchor(sol))
-    c0, c1, c2 = sol.drift_coefs
-    d1 = np.where(inside, t ** (sol.alpha - 1.0) * (c0 + z_safe * (c1 + z_safe * c2)), 0.0)
-    d2 = np.where(inside, t ** (2.0 * sol.alpha - 1.0) * p.rho2(z_safe), 0.0)
+    d1 = np.where(inside, t ** (sol.alpha - 1.0) * _quadratic(sol.drift_coefs, z_safe), 0.0)
+    d2 = np.where(inside, t ** (2.0 * sol.alpha - 1.0) * rho2(sol, z_safe), 0.0)
     if d1.ndim == 0:
         return float(d1), float(d2)
     return d1, d2
@@ -582,8 +488,16 @@ def boundary_positions(sol: SimilaritySolution, t: float) -> tuple[float, float]
     """Instantaneous domain endpoints (z_lo t^alpha, z_hi t^alpha)."""
     t = _check_time(t)
     t_alpha = t**sol.alpha
-    hi = sol.profile.z_hi
-    return sol.profile.z_lo * t_alpha, math.inf if math.isinf(hi) else hi * t_alpha
+    hi = sol.z_hi
+    return sol.z_lo * t_alpha, math.inf if math.isinf(hi) else hi * t_alpha
+
+
+def truncated_positions(sol: SimilaritySolution, t: float) -> tuple[float, float]:
+    """Domain endpoints at t, a half line cut where its tail mass drops below 1e-9."""
+    lo, hi = boundary_positions(sol, t)
+    if math.isinf(hi):
+        hi = effective_upper(sol, tail_mass=1e-9) * t**sol.alpha
+    return lo, hi
 
 
 def moment(sol: SimilaritySolution, k: int, t: float) -> float:
@@ -591,7 +505,7 @@ def moment(sol: SimilaritySolution, k: int, t: float) -> float:
     if k < 0 or k != int(k):
         raise ValueError(f"moment order must be a non-negative integer, got {k!r}")
     t = _check_time(t)
-    res = _reduced_mass(sol.class_params, _pieces(sol.class_params), weight_power=int(k))
+    res = _reduced_mass(sol, weight_power=int(k))
     if not res.converged:
         raise RuntimeError(f"moment quadrature failed: error {res.abs_error_estimate:.3e}")
     return t ** (int(k) * sol.alpha) * sol.norm_A * res.value
@@ -614,24 +528,26 @@ def mass(sol: SimilaritySolution, t: float, *, rtol: float = 1e-11) -> float:
         split = effective_upper(sol, tail_mass=1e-6) * t**sol.alpha
         left = integrate_adaptive(w_of_x, x_lo, split, 0.0, rtol=rtol)
         right = integrate_adaptive(w_of_x, split, math.inf, 0.0, rtol=rtol)
-        res = _sum_results(left, right)
     else:
         mid = 0.5 * (x_lo + x_hi)
         left = integrate_adaptive(w_of_x, x_lo, mid, 0.0, rtol=rtol)
         right = integrate_adaptive(w_of_x, mid, x_hi, 0.0, rtol=rtol)
-        res = _sum_results(left, right)
+    res = _combine(left, right)
     if not res.converged:
         raise RuntimeError(f"mass quadrature failed: error {res.abs_error_estimate:.3e}")
     return res.value
 
 
 def first_integral_residual(sol: SimilaritySolution, z):
-    """Residual and local scale of rho2 y' + (rho2' - rho1 + alpha z) y = 0."""
-    p = sol.profile
+    """Residual and local scale of rho2 y' + (rho2' - rho1 + alpha z) y = 0.
+
+    rho1 and rho2' come from the coefficients, y' = f y from the factors.
+    """
     z = np.asarray(z, dtype=float)
     y = reduced_density(sol, z)
-    term1 = p.rho2(z) * p.f(z) * y
-    term2 = (p.rho2_prime(z) - p.rho1(z) + sol.alpha * z) * y
+    term1 = rho2(sol, z) * f(sol, z) * y
+    w = _quadratic_prime(sol.diffusion_coefs, z) - _quadratic(sol.drift_coefs, z)
+    term2 = (w + sol.alpha * z) * y
     return term1 + term2, np.abs(term1) + np.abs(term2)
 
 
@@ -639,15 +555,16 @@ def reduced_ode_residual(sol: SimilaritySolution, z):
     """Residual and local scale of the second-order reduced equation.
 
     rho2 y'' + (2 rho2' - rho1 + alpha z) y' + (rho2'' - rho1' + alpha) y = 0,
-    with all derivatives analytic (y' = f y, y'' = (f^2 + f') y).
+    with rho1, rho2 and their derivatives from the coefficients and
+    y' = f y, y'' = (f^2 + f') y from the factors.
     """
-    p = sol.profile
     z = np.asarray(z, dtype=float)
     y = reduced_density(sol, z)
-    f = p.f(z)
-    t1 = p.rho2(z) * (f * f + p.f_prime(z)) * y
-    t2 = (2.0 * p.rho2_prime(z) - p.rho1(z) + sol.alpha * z) * f * y
-    t3 = (p.rho2_second(z) - p.rho1_prime(z) + sol.alpha) * y
+    fz = f(sol, z)
+    drift, diffusion = sol.drift_coefs, sol.diffusion_coefs
+    t1 = rho2(sol, z) * (fz * fz + f_prime(sol, z)) * y
+    t2 = (2.0 * _quadratic_prime(diffusion, z) - _quadratic(drift, z) + sol.alpha * z) * fz * y
+    t3 = (2.0 * diffusion[2] - _quadratic_prime(drift, z) + sol.alpha) * y
     return t1 + t2 + t3, np.abs(t1) + np.abs(t2) + np.abs(t3)
 
 
@@ -655,8 +572,8 @@ def interior_points(sol: SimilaritySolution, n: int, *, tail_mass: float = 1e-9)
     """n points strictly inside the reduced domain (cell midpoints)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    z_lo = sol.profile.z_lo
-    z_hi = sol.profile.z_hi
+    z_lo = sol.z_lo
+    z_hi = sol.z_hi
     if math.isinf(z_hi):
         z_hi = effective_upper(sol, tail_mass=tail_mass)
     step = (z_hi - z_lo) / n
@@ -669,24 +586,22 @@ def effective_upper(sol: SimilaritySolution, *, tail_mass: float = 1e-12) -> flo
 
     Returns the finite endpoint unchanged for bounded domains; otherwise a
     z beyond which the analytic density holds less than ``tail_mass``.
-    Cached: solutions are immutable and the search costs many quadratures.
+    Cached: solutions are immutable values and the search costs many
+    quadratures.
     """
-    z_hi = sol.profile.z_hi
-    if not math.isinf(z_hi):
-        return z_hi
-    params = sol.class_params
-    assert isinstance(params, ClassIII)
+    if not math.isinf(sol.z_hi):
+        return sol.z_hi
 
     def integrand(z):
-        return np.exp(sol.log_y(z))
+        return np.exp(log_y(sol, z))
 
     def tail(z: float) -> float:
         res = integrate_adaptive(integrand, z, math.inf, 0.0, rtol=1e-6)
         return sol.norm_A * res.value
 
-    lo = sol.profile.z_lo + max(1.0, (params.a1 + params.a2 + 2.0) / params.beta)
+    lo = _tail_start(sol)
     hi = lo
-    width = max(1.0, lo - sol.profile.z_lo)
+    width = max(1.0, lo - sol.z_lo)
     while tail(hi) > tail_mass:
         hi += width
         width *= 2.0

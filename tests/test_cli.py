@@ -1,6 +1,5 @@
 import dataclasses
 
-import numpy as np
 import pytest
 
 from fpmb import PRESETS
@@ -114,17 +113,15 @@ class TestVerify:
     def test_tampered_drift_fails_first_integral(self, built_presets):
         sol = built_presets["fig1"]
         params = sol.class_params
-
-        def bad_rho1(z):
-            z = np.asarray(z, dtype=float)
-            return ((sol.alpha - (params.a1 + 1.0) - params.a2 - 2.0) * z
-                    + (params.a1 + 2.0) * params.z2 + (params.a2 + 1.0) * params.z1)
-
-        tampered = dataclasses.replace(
-            sol, profile=dataclasses.replace(sol.profile, rho1=bad_rho1)
+        bad_drift = (  # a1 off by one
+            (params.a1 + 2.0) * params.z2 + (params.a2 + 1.0) * params.z1,
+            sol.alpha - (params.a1 + 1.0) - params.a2 - 2.0,
+            0.0,
         )
+        tampered = dataclasses.replace(sol, drift_coefs=bad_drift)
         result = check_first_integral(tampered, 1e-10)
         assert not result.passed
+        assert result.measured > 1e-3
 
     def test_residual_order_check(self, built_presets):
         res = check_fpe_residual_order(built_presets["fig1"], 0.4)

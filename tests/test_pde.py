@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fpmb import build_solution, ClassI, reduced_density
+from numpy.polynomial.polynomial import polyder, polyval
+
+from fpmb import build_solution, ClassI, ClassII, ClassIII, reduced_density
 from fpmb.pde import (
     FieldOnGrid,
     ZGrid,
@@ -86,6 +88,49 @@ class TestOperator:
             transformed_operator(sol, ZGrid(1.5, 4.0, 50))
         with pytest.raises(ValueError):
             transformed_operator(sol, ZGrid(1.0, 3.5, 50))
+
+
+def peclet_models(built_presets):
+    """The presets plus two random models per family, alpha of both signs."""
+    rng = np.random.default_rng(20261018)
+    models = list(built_presets.values())
+    for sign in (1.0, -1.0):
+        alpha = sign * rng.uniform(0.3, 3.0)
+        z1 = rng.uniform(-3.0, 2.0)
+        a1, a2 = rng.uniform(0.4, 4.0, size=2)
+        models.append(build_solution(alpha, ClassI(
+            z1=z1, z2=z1 + rng.uniform(0.5, 4.0), a1=a1, a2=a2)))
+        a1, a2 = rng.uniform(0.4, 4.0, size=2)
+        models.append(build_solution(alpha, ClassII(
+            z2=rng.uniform(0.5, 5.0), a1=a1, a2=a2, beta=rng.uniform(-3.0, 3.0))))
+        a1, a2 = rng.uniform(0.4, 4.0, size=2)
+        models.append(build_solution(alpha, ClassIII(
+            z1=rng.uniform(0.0, 2.0), a1=a1, a2=a2, beta=rng.uniform(0.3, 3.0))))
+    return models
+
+
+class TestExactPeclet:
+    def test_face_peclet_matches_quadrature(self, built_presets):
+        # reference: the integral of w / rho2 = (alpha z - rho1 + rho2') / rho2
+        # (that is, of -f) between adjacent cell centers, by quadrature of
+        # the coefficient polynomials
+        for sol in peclet_models(built_presets):
+            drift, diffusion = sol.drift_coefs, sol.diffusion_coefs
+
+            def ratio(z):
+                w = sol.alpha * z - polyval(z, drift) + polyval(z, polyder(diffusion))
+                return w / polyval(z, diffusion)
+
+            grid = make_grid(sol, 400)
+            op = transformed_operator(sol, grid)
+            c = grid.centers
+            ref = np.array([
+                integrate_adaptive(ratio, lo, hi, 1e-16, rtol=1e-14).value
+                for lo, hi in zip(c[:-1], c[1:])
+            ])
+            # B(-pe) / B(pe) = e^pe for the Bernoulli weights of each face
+            peclet = np.log(op.coeff_right[1:-1] / op.coeff_left[1:-1])
+            assert np.max(np.abs(peclet - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestEvolve:

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fpmb import interior_points
+from numpy.polynomial.polynomial import polyder, polyval
+
+from fpmb import ClassI, ClassII, ClassIII, build_solution, interior_points
+from fpmb.solutions import f
 from fpmb.scaling import (
     ScalingExponents,
     drift_from_f,
@@ -84,45 +87,58 @@ class TestSimilarityVariable:
                 assert a == pytest.approx(b, rel=5e-15, abs=5e-15)
 
 
-class TestDriftFromF:
-    def test_two_boundary_profile(self):
-        z1, z2, a1, a2, alpha = 1.0, 4.0, 1.0, 0.5, 2.0
-        rho1 = drift_from_f(
-            lambda z: a1 / (z - z1) - a2 / (z2 - z),
-            lambda z: (z - z1) * (z2 - z),
-            lambda z: (z1 + z2) - 2.0 * z,
-            alpha,
-        )
-        z = np.linspace(1.2, 3.8, 50)
-        expected = (alpha - a1 - a2 - 2.0) * z + (a1 + 1.0) * z2 + (a2 + 1.0) * z1
-        np.testing.assert_allclose(rho1(z), expected, rtol=1e-13)
+def assert_transcribed(sol, transcribed_profiles):
+    """Generated coefficients equal the `fpmb info` formulas to rounding."""
+    generated = (sol.drift_coefs, sol.diffusion_coefs)
+    for got, want in zip(generated, transcribed_profiles(sol.alpha, sol.class_params)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(map(abs, want)))
 
-    def test_fixed_origin_profile(self):
+
+class TestDriftFromF:
+    def test_two_boundary_profile(self, transcribed_profiles):
+        z1, z2, a1, a2, alpha = 1.0, 4.0, 1.0, 0.5, 2.0
+        # f rho2 = a1 (z2 - z) - a2 (z - z1)
+        rho1 = drift_from_f((a1 * z2 + a2 * z1, -a1 - a2), (-z1 * z2, z1 + z2, -1.0), alpha)
+        np.testing.assert_allclose(
+            rho1, [(a1 + 1.0) * z2 + (a2 + 1.0) * z1, alpha - a1 - a2 - 2.0], rtol=1e-15)
+        for params in (ClassI(z1=z1, z2=z2, a1=a1, a2=a2),
+                       ClassI(z1=-2.0, z2=0.0, a1=2.5, a2=0.7)):
+            for alpha in (2.0, -0.5):
+                assert_transcribed(build_solution(alpha, params), transcribed_profiles)
+
+    def test_fixed_origin_profile(self, transcribed_profiles):
         z2, a1, a2, beta, alpha = 1.0, 1.0, 0.5, -1.0, 2.0
-        rho1 = drift_from_f(
-            lambda z: a1 / z - a2 / (z2 - z) + beta,
-            lambda z: z * (z2 - z),
-            lambda z: z2 - 2.0 * z,
-            alpha,
-        )
-        z = np.linspace(0.05, 0.95, 50)
-        expected = -beta * z**2 + (alpha - a1 - a2 - 2.0 + beta * z2) * z + (a1 + 1.0) * z2
-        np.testing.assert_allclose(rho1(z), expected, rtol=1e-12, atol=1e-13)
+        # f rho2 = a1 (z2 - z) - a2 z + beta z (z2 - z)
+        rho1 = drift_from_f((a1 * z2, -a1 - a2 + beta * z2, -beta), (0.0, z2, -1.0), alpha)
+        np.testing.assert_allclose(
+            rho1, [(a1 + 1.0) * z2, alpha - a1 - a2 - 2.0 + beta * z2, -beta], rtol=1e-15)
+        for beta in (-1.0, 0.0, 2.5):
+            params = ClassII(z2=z2, a1=a1, a2=a2, beta=beta)
+            assert_transcribed(build_solution(alpha, params), transcribed_profiles)
+
+    def test_half_line_profile(self, transcribed_profiles):
+        for z1 in (0.0, 0.5, 1.7):
+            for alpha in (2.0, -1.3):
+                params = ClassIII(z1=z1, a1=1.0, a2=0.5, beta=1.5)
+                sol = build_solution(alpha, params)
+                assert_transcribed(sol, transcribed_profiles)
+        # with z1 = 0 the origin is the left edge and the drift vanishes there
+        assert build_solution(2.0, ClassIII(z1=0.0, a1=1.0, a2=0.5, beta=1.5)).drift_coefs[0] == 0.0
 
     def test_unit_diffusion_whole_line(self):
         alpha = 1.5
-        rho1 = drift_from_f(lambda z: 0.0 * z, lambda z: 1.0 + 0.0 * z, lambda z: 0.0 * z, alpha)
-        z = np.linspace(-3.0, 3.0, 13)
-        np.testing.assert_allclose(rho1(z), alpha * z, rtol=0, atol=0)
+        rho1 = drift_from_f((0.0,), (1.0,), alpha)
+        np.testing.assert_array_equal(rho1, [0.0, alpha])
 
 
 class TestProfileRoundTrip:
     def test_f_recovered_from_profiles(self, built_presets):
         # f = (rho1 - rho2' - alpha z) / rho2 must hold identically
         for sol in built_presets.values():
-            p = sol.profile
             z = interior_points(sol, 1000)
-            recovered = (p.rho1(z) - p.rho2_prime(z) - sol.alpha * z) / p.rho2(z)
-            direct = p.f(z)
+            rho1 = polyval(z, sol.drift_coefs)
+            rho2_prime = polyval(z, polyder(sol.diffusion_coefs))
+            recovered = (rho1 - rho2_prime - sol.alpha * z) / polyval(z, sol.diffusion_coefs)
+            direct = f(sol, z)
             err = np.abs(recovered - direct) / (1.0 + np.abs(direct))
             assert float(err.max()) <= 1e-12

@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
-from fpmb import solutions
 from fpmb import (
+    PRESETS,
     ClassI,
     ClassII,
     ClassIII,
@@ -25,6 +26,7 @@ from fpmb import (
     reduced_density,
     reduced_ode_residual,
 )
+from fpmb.solutions import truncated_positions
 
 
 def random_params(rng, family):
@@ -226,7 +228,7 @@ class TestCoefficients:
 
 
 class TestQuadraticProfiles:
-    def test_coefficients_reproduce_generated_profiles(self, built_presets):
+    def test_coefficients_reproduce_generated_profiles(self, built_presets, transcribed_profiles):
         rng = np.random.default_rng(20261017)
         sols = list(built_presets.values()) + [
             build_solution(random_alpha(rng), random_params(rng, family))
@@ -235,23 +237,31 @@ class TestQuadraticProfiles:
         ]
         for sol in sols:
             z = interior_points(sol, 1000)
-            for coefs, profile in ((sol.drift_coefs, sol.profile.rho1),
-                                   (sol.diffusion_coefs, sol.profile.rho2)):
-                ref = profile(z)
+            transcribed = transcribed_profiles(sol.alpha, sol.class_params)
+            for coefs, ref_coefs in zip((sol.drift_coefs, sol.diffusion_coefs), transcribed):
+                ref = polyval(z, ref_coefs)
                 err = np.max(np.abs(polyval(z, coefs) - ref))
                 assert err <= 1e-13 * np.max(np.abs(ref))
 
-    def test_non_quadratic_drift_rejected(self, monkeypatch):
-        generated = solutions.drift_from_f
 
-        def cubic_drift(*args):
-            rho1 = generated(*args)
-            return lambda z: rho1(z) + 1e-3 * np.asarray(z) ** 3
+class TestPlainValues:
+    def test_pickle_round_trip(self, built_presets):
+        for name, sol in built_presets.items():
+            t = PRESETS[name].times[1]
+            x = np.linspace(*truncated_positions(sol, t), 101)
+            back = pickle.loads(pickle.dumps(sol))
+            assert back == sol
+            assert back.drift_coefs == sol.drift_coefs
+            np.testing.assert_array_equal(density(back, x, t), density(sol, x, t))
+            for got, want in zip(coefficients(back, x, t), coefficients(sol, x, t)):
+                np.testing.assert_array_equal(got, want)
 
-        monkeypatch.setattr(solutions, "drift_from_f", cubic_drift)
-        for name in ("fig1", "fig4", "fig5"):
-            with pytest.raises(RuntimeError, match="not quadratic"):
-                preset_solution(name)
+    def test_rebuilds_are_equal_and_hash_equal(self):
+        for spec in PRESETS.values():
+            a = build_solution(spec.alpha, spec.params)
+            b = build_solution(spec.alpha, spec.params)
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
 
 
 class TestBoundaries:
@@ -345,14 +355,12 @@ class TestIdentities:
 
         sol = built_presets["fig1"]
         params = sol.class_params
-        bad_rho1 = lambda z: (  # noqa: E731  a1 off by one
-            (sol.alpha - (params.a1 + 1.0) - params.a2 - 2.0) * np.asarray(z)
-            + (params.a1 + 2.0) * params.z2
-            + (params.a2 + 1.0) * params.z1
+        bad_drift = (  # a1 off by one
+            (params.a1 + 2.0) * params.z2 + (params.a2 + 1.0) * params.z1,
+            sol.alpha - (params.a1 + 1.0) - params.a2 - 2.0,
+            0.0,
         )
-        tampered = dataclasses.replace(
-            sol, profile=dataclasses.replace(sol.profile, rho1=bad_rho1)
-        )
+        tampered = dataclasses.replace(sol, drift_coefs=bad_drift)
         z = interior_points(tampered, 1000)
         res, scale = first_integral_residual(tampered, z)
         assert float(np.max(np.abs(res) / np.maximum(scale, 1e-300))) > 1e-3
