@@ -10,24 +10,38 @@ converge to the analytic density at the usual 1/sqrt(N) rate.  Reflection
 realizes the zero-flux boundaries at path level: no particle is ever
 absorbed or created.
 
-Every family's profiles are quadratics in the reduced coordinate, so at a
-fixed time D1 and D2 are quadratics in x whose three coefficients depend
-on t alone.  A step folds the solution's ``drift_coefs`` and
-``diffusion_coefs`` with the powers of t into three scalars each and
-evaluates both in Horner form, in place, over the whole ensemble.
+Paths are stepped in the reduced coordinates Z = X / t^alpha, s = ln t,
+where Ito's formula gives the time-homogeneous process
+
+    dZ = (rho1(Z) - alpha Z) ds + sqrt(2 rho2(Z)) dB_s
+
+on the static interval [z_lo, z_hi].  Both profiles are quadratics, so an
+Euler-Maruyama step is two Horner forms over the ensemble: the variance
+2 rho2 ds, and Z plus the drift (rho1 - alpha Z) ds.  Reflection mirrors
+at the fixed endpoints.  Positions are mapped back as z t^alpha, the
+product ``boundary_positions`` forms, so every returned path lies in the
+domain at its time.
+
+The ensemble is cut into chunks of ``CHUNK_PATHS`` paths.  Each chunk gets
+its own generator from ``ens.rng.spawn`` and is advanced over the whole
+time grid in place, with buffers small enough to stay in cache; chunks run
+on a thread pool as large as the CPUs the process may use (numpy releases
+the GIL in the generator and the ufuncs).  Results depend on the seed and
+the chunk size, never on the number of threads.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .solutions import (
     SimilaritySolution,
-    boundary_positions,
     effective_upper,
     reduced_density,
     truncated_positions,
@@ -42,6 +56,8 @@ __all__ = [
     "histogram_table",
     "histogram_distance",
 ]
+
+CHUNK_PATHS = 2**15
 
 
 class StepSizeError(ValueError):
@@ -76,102 +92,161 @@ def _cdf_table(sol: SimilaritySolution, *, tail_mass: float = 1e-9) -> tuple[np.
     return z, cdf
 
 
+def _require(name: str, value: float, *, positive: bool = True) -> float:
+    """``value`` as a float if finite (and > 0 when ``positive``); else ValueError."""
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        kind = "finite positive" if positive else "finite"
+        raise ValueError(f"need a {kind} {name}, got {value!r}")
+    return value
+
+
 def init_ensemble(
     sol: SimilaritySolution, n_paths: int, t0: float, seed: int
 ) -> PathEnsemble:
     """Ensemble drawn from the analytic density at t0 by inverse-CDF sampling."""
     if n_paths < 1:
         raise ValueError("need at least one path")
-    if t0 <= 0.0:
-        raise ValueError("need t0 > 0")
+    t0 = _require("t0", t0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_tab, cdf = _cdf_table(sol)
     u = rng.uniform(size=n_paths)
     z = np.interp(u, cdf, z_tab)
     return PathEnsemble(
         positions=z * t0**sol.alpha,
-        t=float(t0),
+        t=t0,
         n_reflections=0,
         seed=int(seed),
         rng=rng,
     )
 
 
-def _horner(
-    x: np.ndarray, coefs: tuple[float, float, float], out: np.ndarray | None = None
-) -> np.ndarray:
-    """c0 + x (c1 + x c2), built in place in ``out`` (a new array if None)."""
-    c0, c1, c2 = coefs
-    out = np.multiply(x, c2, out=out)
+def _horner(x: np.ndarray, c0: float, c1: float, c2: float, out: np.ndarray) -> np.ndarray:
+    """c0 + x (c1 + x c2), built in place in ``out``."""
+    np.multiply(x, c2, out=out)
     out += c1
     out *= x
     out += c0
     return out
 
 
-def _folded(
-    coefs: tuple[float, float, float], t: float, power: float, alpha: float, factor: float
-) -> tuple[float, float, float]:
-    """Coefficients in x of factor * t^power * q(x / t^alpha), q given by ``coefs``."""
-    return tuple(factor * c * t ** (power - k * alpha) for k, c in enumerate(coefs))
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _crossed_both(ds: float) -> StepSizeError:
+    return StepSizeError(
+        f"a path crossed both boundaries in one step of log-time ds={ds!r}; "
+        "reduce the step size"
+    )
+
+
+def _advance(
+    z: np.ndarray,
+    rng: np.random.Generator,
+    log_steps: list[float],
+    drift: tuple[float, float, float],
+    variance: tuple[float, float, float] | None,
+    z_lo: float,
+    z_hi: float,
+) -> int:
+    """Step one chunk of reduced positions in place; return its reflections.
+
+    ``drift`` holds the ascending coefficients of rho1(z) - alpha z and
+    ``variance`` those of 2 rho2(z), or None for no noise.  Each step of
+    log-time ``ds`` folds ds (and the identity, for the drift) into the
+    Horner coefficients.
+    """
+    d0, d1, d2 = drift
+    work = np.empty_like(z)
+    noise = np.empty_like(z) if variance is not None else None
+    mask = np.empty(z.shape, dtype=bool)
+    reflections = 0
+    for ds in log_steps:
+        if variance is None:
+            np.copyto(z, _horner(z, d0 * ds, 1.0 + d1 * ds, d2 * ds, work))
+        else:
+            v0, v1, v2 = variance
+            _horner(z, v0 * ds, v1 * ds, v2 * ds, work)
+            np.maximum(work, 0.0, out=work)
+            np.sqrt(work, out=work)
+            rng.standard_normal(out=noise)
+            work *= noise
+            # noise is spent: z + (rho1 - alpha z) ds goes into it
+            np.add(_horner(z, d0 * ds, 1.0 + d1 * ds, d2 * ds, noise), work, out=z)
+        # each path is mirrored at most once: an image beyond the other
+        # endpoint means the step crossed both
+        if z.min() < z_lo:
+            np.less(z, z_lo, out=mask)
+            reflections += int(np.count_nonzero(mask))
+            np.subtract(2.0 * z_lo, z, out=z, where=mask)
+            if np.max(z, where=mask, initial=-math.inf) > z_hi:
+                raise _crossed_both(ds)
+        if z.max() > z_hi:
+            np.greater(z, z_hi, out=mask)
+            reflections += int(np.count_nonzero(mask))
+            np.subtract(2.0 * z_hi, z, out=z, where=mask)
+            if np.min(z, where=mask, initial=math.inf) < z_lo:
+                raise _crossed_both(ds)
+    return reflections
+
+
+def _march(
+    ens: PathEnsemble, sol: SimilaritySolution, times: list[float], noise_scale: float = 1.0
+) -> PathEnsemble:
+    """Advance the ensemble over the time grid ``times`` (``times[0] == ens.t``)."""
+    alpha = sol.alpha
+    log_steps = [math.log(b / a) for a, b in zip(times, times[1:])]
+    r0, r1, r2 = sol.drift_coefs
+    drift = (r0, r1 - alpha, r2)
+    variance = None
+    if noise_scale != 0.0:
+        scale = 2.0 * noise_scale * noise_scale
+        variance = tuple(scale * c for c in sol.diffusion_coefs)
+
+    z = ens.positions / ens.t**alpha
+    n_chunks = -(-z.size // CHUNK_PATHS)
+    rngs = ens.rng.spawn(n_chunks)
+
+    def run(k: int) -> int:
+        chunk = z[k * CHUNK_PATHS : (k + 1) * CHUNK_PATHS]
+        return _advance(chunk, rngs[k], log_steps, drift, variance, sol.z_lo, sol.z_hi)
+
+    workers = min(_worker_count(), n_chunks)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            reflections = sum(pool.map(run, range(n_chunks)))
+    else:
+        reflections = sum(map(run, range(n_chunks)))
+    t_end = times[-1]
+    z *= t_end**alpha
+    return replace(
+        ens, positions=z, t=t_end, n_reflections=ens.n_reflections + reflections
+    )
 
 
 def step_ensemble(
     ens: PathEnsemble, sol: SimilaritySolution, dt: float, *, noise_scale: float = 1.0
 ) -> PathEnsemble:
-    """One Euler-Maruyama step of size dt with reflection at t + dt boundaries.
+    """One Euler-Maruyama step from ``ens.t`` to ``ens.t + dt``, with reflection.
 
-    D1 and D2 are quadratics in x at fixed t: the profile coefficients and
-    the powers of t and dt fold into three scalars each, and the Horner
-    forms run in place on the step's output array and the noise buffer.
+    The step is taken in the reduced coordinates over ds = ln((t + dt) / t).
     Positions are taken to lie in the closed domain at ``ens.t``, as every
-    ensemble from ``init_ensemble`` and ``step_ensemble`` does.
+    ensemble from ``init_ensemble``, ``step_ensemble`` and ``propagate``
+    does.
 
     ``noise_scale=0`` switches off the diffusion term, turning the update
     into a forward-Euler step of the deterministic drift flow (used by the
     zero-noise verification against an ODE integrator).
     """
-    if dt <= 0.0:
-        raise ValueError(f"need dt > 0, got {dt!r}")
-    t, alpha = ens.t, sol.alpha
-    t_new = t + dt
-    x = ens.positions
-    drift = _folded(sol.drift_coefs, t, alpha - 1.0, alpha, dt)
-    if noise_scale == 0.0:
-        x_new = _horner(x, drift)
-    else:
-        # sqrt(2 max(D2, 0) dt) noise_scale noise, then the drift D1 dt
-        # evaluated into the spent noise buffer
-        x_new = _horner(x, _folded(sol.diffusion_coefs, t, 2.0 * alpha - 1.0, alpha, 2.0 * dt))
-        np.maximum(x_new, 0.0, out=x_new)
-        np.sqrt(x_new, out=x_new)
-        if noise_scale != 1.0:
-            x_new *= noise_scale
-        noise = ens.rng.standard_normal(x.shape[0])
-        x_new *= noise
-        x_new += _horner(x, drift, out=noise)
-    x_new += x
-
-    lo, hi = boundary_positions(sol, t_new)
-    mask = x_new < lo
-    reflections = int(np.count_nonzero(mask))
-    if reflections:
-        np.subtract(2.0 * lo, x_new, out=x_new, where=mask)
-    if math.isfinite(hi):
-        np.greater(x_new, hi, out=mask)
-        above = int(np.count_nonzero(mask))
-        if above:
-            np.subtract(2.0 * hi, x_new, out=x_new, where=mask)
-            reflections += above
-    if x_new.size and (x_new.min() < lo or x_new.max() > hi):
-        n_out = int(np.count_nonzero((x_new < lo) | (x_new > hi)))
-        raise StepSizeError(
-            f"{n_out} paths crossed both boundaries in one "
-            f"step of dt={dt!r}; reduce the step size"
-        )
-    return replace(
-        ens, positions=x_new, t=t_new, n_reflections=ens.n_reflections + reflections
-    )
+    t = _require("ensemble time t", ens.t)
+    dt = _require("dt", dt)
+    noise_scale = _require("noise_scale", noise_scale, positive=False)
+    return _march(ens, sol, [t, t + dt], noise_scale)
 
 
 def propagate(
@@ -187,21 +262,27 @@ def propagate(
     Substeps are capped so the boundary moves by less than
     ``boundary_motion_fraction`` of the domain width per step, on top of the
     ``dt_max`` accuracy cap.  Half-line domains are measured up to where
-    the analytic tail mass falls below 1e-6.
+    the analytic tail mass falls below 1e-6.  The whole grid is built
+    first, then every chunk of paths runs over it in log-time.
     """
-    if t_end <= ens.t:
+    t = _require("ensemble time t", ens.t)
+    t_end = _require("t_end", t_end)
+    dt_max = _require("dt_max", dt_max)
+    boundary_motion_fraction = _require("boundary_motion_fraction", boundary_motion_fraction)
+    if t_end <= t:
         raise ValueError("t_end must exceed the ensemble time")
     alpha = sol.alpha
     z_lo, z_hi = sol.z_lo, effective_upper(sol, tail_mass=1e-6)
     reduced_speed = max(abs(alpha * z_lo), abs(alpha * z_hi))
-    while ens.t < t_end - 1e-15 * t_end:
-        t_alpha = ens.t**alpha
+    times = [t]
+    while t < t_end - 1e-15 * t_end:
+        t_alpha = t**alpha
         width = z_hi * t_alpha - z_lo * t_alpha
-        speed = reduced_speed * ens.t ** (alpha - 1.0)
+        speed = reduced_speed * t ** (alpha - 1.0)
         dt = dt_max if speed == 0.0 else min(dt_max, boundary_motion_fraction * width / speed)
-        dt = min(dt, t_end - ens.t)
-        ens = step_ensemble(ens, sol, dt)
-    return ens
+        t += min(dt, t_end - t)
+        times.append(t)
+    return _march(ens, sol, times)
 
 
 def _binned_densities(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from fpmb import (
     coefficients,
     effective_upper,
 )
+from fpmb import sde
 from fpmb.sde import (
+    CHUNK_PATHS,
     PathEnsemble,
     StepSizeError,
     histogram_distance,
@@ -119,7 +122,7 @@ class TestStep:
             rng=np.random.default_rng(0),
         )
         with pytest.raises(StepSizeError):
-            step_ensemble(ens, sol, 1.0, noise_scale=0.0)
+            step_ensemble(ens, sol, 4.0, noise_scale=0.0)
 
     def test_rejects_nonpositive_dt(self, built_presets):
         ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
@@ -128,18 +131,24 @@ class TestStep:
 
 
 def reference_step(ens, sol, dt):
-    """Euler-Maruyama step with per-path coefficients() and mirror reflection."""
-    x = ens.positions
-    d1, d2 = coefficients(sol, x, ens.t)
-    x_new = x + d1 * dt
-    x_new = x_new + np.sqrt(2.0 * np.maximum(d2, 0.0) * dt) * ens.rng.standard_normal(x.size)
-    lo, hi = boundary_positions(sol, ens.t + dt)
-    below = x_new < lo
-    x_new[below] = 2.0 * lo - x_new[below]
-    above = x_new > hi
-    x_new[above] = 2.0 * hi - x_new[above]
+    """Euler-Maruyama step in z = x / t^alpha over ds = ln((t + dt) / t), with
+    rho1 and rho2 read per path off coefficients() and mirror reflection at
+    the static reduced endpoints."""
+    t, alpha = ens.t, sol.alpha
+    t_new = t + dt
+    ds = math.log(t_new / t)
+    d1, d2 = coefficients(sol, ens.positions, t)
+    rho1 = d1 * t ** (1.0 - alpha)
+    rho2 = d2 * t ** (1.0 - 2.0 * alpha)
+    z = ens.positions / t**alpha
+    noise = ens.rng.spawn(1)[0].standard_normal(z.size)
+    z_new = z + (rho1 - alpha * z) * ds + np.sqrt(2.0 * np.maximum(rho2, 0.0) * ds) * noise
+    below = z_new < sol.z_lo
+    z_new[below] = 2.0 * sol.z_lo - z_new[below]
+    above = z_new > sol.z_hi
+    z_new[above] = 2.0 * sol.z_hi - z_new[above]
     reflections = int(below.sum() + above.sum())
-    return dataclasses.replace(ens, positions=x_new, t=ens.t + dt,
+    return dataclasses.replace(ens, positions=z_new * t_new**alpha, t=t_new,
                                n_reflections=ens.n_reflections + reflections)
 
 
@@ -205,6 +214,80 @@ class TestReproducibility:
         a = init_ensemble(sol, 2000, 0.3, seed=1)
         b = init_ensemble(sol, 2000, 0.3, seed=2)
         assert not np.array_equal(a.positions, b.positions)
+
+
+def propagated(sol, t0, seed):
+    """Three full chunks plus a ragged one, over the first 20 steps."""
+    ens = init_ensemble(sol, 3 * CHUNK_PATHS + 7, t0, seed)
+    return propagate(ens, sol, t0 + 0.02)
+
+
+class TestChunkedEngine:
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig5"])
+    def test_worker_count_does_not_change_results(self, built_presets, monkeypatch, name):
+        sol, t0 = built_presets[name], PRESETS[name].times[0]
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many thread switches per chunk step
+        try:
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(sde, "_worker_count", lambda w=workers: w)
+                runs[workers] = propagated(sol, t0, seed=31)
+        finally:
+            sys.setswitchinterval(interval)
+        for workers in (2, 4):
+            assert np.array_equal(runs[workers].positions, runs[1].positions)
+            assert runs[workers].n_reflections == runs[1].n_reflections
+            assert runs[workers].t == runs[1].t
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig5"])
+    def test_seed_fixes_results(self, built_presets, name):
+        sol, t0 = built_presets[name], PRESETS[name].times[0]
+        a, b = propagated(sol, t0, seed=41), propagated(sol, t0, seed=41)
+        assert np.array_equal(a.positions, b.positions)
+        assert a.n_reflections == b.n_reflections
+        c = propagated(sol, t0, seed=42)
+        assert not np.array_equal(a.positions, c.positions)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("t0", [math.nan, math.inf])
+    def test_init_time(self, built_presets, t0):
+        with pytest.raises(ValueError, match="t0"):
+            init_ensemble(built_presets["fig1"], 10, t0, seed=1)
+
+    def test_step_size(self, built_presets):
+        ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
+        with pytest.raises(ValueError, match="dt"):
+            step_ensemble(ens, built_presets["fig1"], math.inf)
+
+    @pytest.mark.parametrize("t", [math.nan, 0.0, -1.0])
+    def test_ensemble_time(self, built_presets, t):
+        sol = built_presets["fig2"]  # alpha < 0: t = 0 has no finite t^alpha
+        ens = PathEnsemble(positions=np.array([2.0]), t=t, n_reflections=0, seed=0,
+                           rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="ensemble time"):
+            step_ensemble(ens, sol, 1e-3)
+        with pytest.raises(ValueError, match="ensemble time"):
+            propagate(ens, sol, 1.0)
+
+    def test_noise_scale(self, built_presets):
+        ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
+        with pytest.raises(ValueError, match="noise_scale"):
+            step_ensemble(ens, built_presets["fig1"], 1e-3, noise_scale=math.nan)
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("t_end", {"t_end": math.nan}),
+        ("t_end", {"t_end": math.inf}),
+        ("dt_max", {"dt_max": math.nan}),
+        ("dt_max", {"dt_max": 0.0}),
+        ("boundary_motion_fraction", {"boundary_motion_fraction": 0.0}),
+    ])
+    def test_propagate_arguments(self, built_presets, name, kwargs):
+        ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
+        kwargs = {"t_end": 0.31} | kwargs
+        with pytest.raises(ValueError, match=name):
+            propagate(ens, built_presets["fig1"], kwargs.pop("t_end"), **kwargs)
 
 
 class TestHistogram:
