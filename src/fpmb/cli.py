@@ -376,12 +376,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rows = []
     for t in cfg.times:
         lo, hi = truncated_positions(sol, t)
-        for x in np.linspace(lo, hi, args.points):
-            x = float(x)
-            w = density(sol, x, t)
-            j = current(sol, x, t)
-            d1, d2 = coefficients(sol, x, t)
-            rows.append(",".join(_fmt(v) for v in (t, x, w, j, d1, d2)))
+        x = np.linspace(lo, hi, args.points)
+        d1, d2 = coefficients(sol, x, t)
+        columns = (x, density(sol, x, t), current(sol, x, t), d1, d2)
+        rows.extend(
+            ",".join(map(_fmt, (t, *row)))
+            for row in zip(*(c.tolist() for c in columns))
+        )
     _write_rows(cfg.out, "t,x,W,J,D1,D2", rows)
     return 0
 
@@ -469,6 +470,16 @@ def cmd_presets(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_size(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2 (both endpoints), got {n}")
+    return n
+
+
 def _add_config_args(p: argparse.ArgumentParser, *, points: bool = False) -> None:
     p.add_argument("--preset", help="named preset (fig1 ... fig5)")
     p.add_argument("--config", help="path to a config file")
@@ -478,7 +489,8 @@ def _add_config_args(p: argparse.ArgumentParser, *, points: bool = False) -> Non
     p.add_argument("--paths", type=int, help="Monte Carlo path count override")
     p.add_argument("--bins", type=int, help="histogram bin count override")
     if points:
-        p.add_argument("--points", type=int, default=201, help="x samples per time")
+        p.add_argument("--points", type=_grid_size, default=201,
+                       help="x samples per time, endpoints included (default 201, minimum 2)")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

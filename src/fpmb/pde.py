@@ -25,11 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+# scipy.sparse (about 0.3 s of import) loads on first use; the bare package
+# stays imported so that its version is readable from sys.modules (perfbench)
+import scipy  # noqa: F401
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 from .solutions import (
     SimilaritySolution,
@@ -162,6 +166,8 @@ class DiscreteOperator:
         return flux
 
     def as_matrix(self) -> sparse.csc_matrix:
+        from scipy import sparse
+
         n = self.grid.n_cells
         return sparse.diags(
             [self.lower[1:], self.diag, self.upper[:-1]], [-1, 0, 1], shape=(n, n)
@@ -204,6 +210,13 @@ def transformed_operator(sol: SimilaritySolution, grid: ZGrid) -> DiscreteOperat
 _MASS_DRIFT_TOL = 1e-12
 
 
+def splu(matrix: sparse.csc_matrix):
+    """Sparse LU factorization (``scipy.sparse.linalg.splu``, loaded on first use)."""
+    from scipy.sparse.linalg import splu as factorize
+
+    return factorize(matrix)
+
+
 def evolve(
     op: DiscreteOperator,
     u0: FieldOnGrid,
@@ -229,6 +242,8 @@ def evolve(
         raise ValueError("field does not match the grid")
     if np.any(u < 0.0):
         raise ValueError("initial field must be non-negative")
+
+    from scipy import sparse
 
     h = op.grid.h
     identity = sparse.identity(op.grid.n_cells, format="csc")

@@ -1,10 +1,18 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fpmb import PRESETS
+import fpmb
+from fpmb import PRESETS, coefficients, current, density
 from fpmb.cli import (
     RunConfig,
+    _fmt,
     check_fpe_residual_order,
     check_first_integral,
     format_config,
@@ -14,6 +22,7 @@ from fpmb.cli import (
     preset_names,
     run_checks,
 )
+from fpmb.solutions import truncated_positions
 
 
 class TestConfig:
@@ -95,6 +104,121 @@ class TestEval:
             block = [row for row in rows if row[0] == t]
             assert float(block[0][2]) == 0.0 and float(block[-1][2]) == 0.0
             assert float(block[0][3]) == 0.0 and float(block[-1][3]) == 0.0
+
+
+def _scalar_eval_table(cfg: RunConfig, points: int) -> str:
+    """The table `fpmb eval` writes, built one point at a time."""
+    sol = cfg.build()
+    lines = ["t,x,W,J,D1,D2"]
+    for t in cfg.times:
+        lo, hi = truncated_positions(sol, t)
+        for x in np.linspace(lo, hi, points):
+            x = float(x)
+            w = density(sol, x, t)
+            j = current(sol, x, t)
+            d1, d2 = coefficients(sol, x, t)
+            lines.append(",".join(_fmt(v) for v in (t, x, w, j, d1, d2)))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_table(path: Path, expected: str) -> None:
+    """Byte equality, reported as the first differing line (a full text diff is slow)."""
+    got = path.read_text()
+    got_lines, want_lines = got.splitlines(), expected.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for k, (a, b) in enumerate(zip(got_lines, want_lines)):
+        assert a == b, f"line {k}"
+    identical = got == expected
+    assert identical
+
+
+def _random_eval_configs() -> list[RunConfig]:
+    """One model per family from the acceptance box, plus Class III with z1 = 0."""
+    rng = np.random.default_rng(2024)
+    times = (0.5, 1.0, 2.5)
+    out = []
+    for family in ("I", "II", "III"):
+        alpha = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0))
+        a1, a2 = float(rng.uniform(0.4, 4.0)), float(rng.uniform(0.4, 4.0))
+        if family == "I":
+            z1 = float(rng.uniform(-3.0, 2.0))
+            extra = {"z1": z1, "z2": z1 + float(rng.uniform(0.5, 4.0))}
+        elif family == "II":
+            extra = {"z2": float(rng.uniform(0.5, 5.0)), "beta": float(rng.uniform(-3.0, 3.0))}
+        else:
+            extra = {"z1": float(rng.uniform(0.0, 2.0)), "beta": float(rng.uniform(0.3, 3.0))}
+        out.append(RunConfig(family, alpha, a1, a2, times, **extra))
+    out.append(RunConfig("III", -1.5, 1.3, 0.6, times, z1=0.0, beta=0.8))
+    return out
+
+
+class TestEvalMatchesScalarPath:
+    """`fpmb eval` evaluates each time as one array; its text must not change."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets(self, name, tmp_path):
+        out = tmp_path / "w.csv"
+        assert main(["eval", "--preset", name, "--out", str(out)]) == 0
+        _assert_same_table(out, _scalar_eval_table(load_preset_config(name), 201))
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_random_models(self, index, tmp_path):
+        cfg = _random_eval_configs()[index]
+        path = tmp_path / "m.cfg"
+        path.write_text(format_config(cfg))
+        out = tmp_path / "w.csv"
+        assert main(["eval", "--config", str(path), "--points", "57",
+                     "--out", str(out)]) == 0
+        _assert_same_table(out, _scalar_eval_table(cfg, 57))
+
+    def test_class_ii_origin_and_endpoint_rows(self, tmp_path):
+        out = tmp_path / "w.csv"
+        main(["eval", "--preset", "fig4", "--points", "2", "--out", str(out)])
+        cfg = load_preset_config("fig4")
+        assert cfg.class_name == "II"
+        _assert_same_table(out, _scalar_eval_table(cfg, 2))
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * len(cfg.times)
+        assert all(float(row[1]) == 0.0 for row in rows[::2])
+        assert all(float(row[2]) == 0.0 for row in rows)
+
+    @pytest.mark.parametrize("points", ["0", "-1", "1"])
+    def test_too_few_points_rejected(self, points, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--preset", "fig1", "--points", points])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--points" in captured.err
+        assert captured.out == ""
+
+
+_LAZY_SPARSE_SCRIPT = """
+import json, sys
+import fpmb.cli as cli
+loaded_at_import = "scipy.sparse" in sys.modules
+cfg = cli.load_preset_config("fig1")
+results = cli.check_pde_attractor(cfg.build(), cfg.n_cells, cfg.tol_attractor)
+print(json.dumps({
+    "loaded_at_import": loaded_at_import,
+    "loaded_after_evolve": "scipy.sparse" in sys.modules,
+    "results": [[r.name, float(r.measured), bool(r.passed)] for r in results],
+}))
+"""
+
+
+def test_cli_import_defers_scipy_sparse():
+    src = str(Path(fpmb.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SPARSE_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded_at_import"] is False
+    assert report["loaded_after_evolve"] is True
+    expected = {r.name: r for r in run_checks(load_preset_config("fig1"))}
+    assert len(report["results"]) == 2
+    for name, measured, passed in report["results"]:
+        assert passed == expected[name].passed
+        assert measured == expected[name].measured
 
 
 class TestVerify:
