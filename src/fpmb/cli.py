@@ -470,27 +470,38 @@ def cmd_presets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_size(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2 (both endpoints), got {n}")
-    return n
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+
+    return parse
 
 
-def _add_config_args(p: argparse.ArgumentParser, *, points: bool = False) -> None:
+# optional flags by name; each subcommand takes only the ones it reads
+_FLAGS = {
+    "out": dict(help="output path (default: stdout)"),
+    "points": dict(type=_int_at_least(2), default=201,
+                   help="x samples per time, endpoints included (default 201, minimum 2)"),
+    "seed": dict(type=int, help="RNG seed override"),
+    "paths": dict(type=_int_at_least(1), help="Monte Carlo path count override (minimum 1)"),
+    "bins": dict(type=_int_at_least(10), help="histogram bin count override (minimum 10)"),
+    "cells": dict(type=_int_at_least(3), help="PDE grid cells override (minimum 3)"),
+}
+
+
+def _add_config_args(p: argparse.ArgumentParser, *flags: str) -> None:
     p.add_argument("--preset", help="named preset (fig1 ... fig5)")
     p.add_argument("--config", help="path to a config file")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, help="RNG seed override")
-    p.add_argument("--cells", type=int, help="PDE grid cells override")
-    p.add_argument("--paths", type=int, help="Monte Carlo path count override")
-    p.add_argument("--bins", type=int, help="histogram bin count override")
-    if points:
-        p.add_argument("--points", type=_grid_size, default=201,
-                       help="x samples per time, endpoints included (default 201, minimum 2)")
+    for name in flags:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -502,11 +513,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="tabulate W, J, D1, D2 on a grid")
-    _add_config_args(p_eval, points=True)
+    _add_config_args(p_eval, "out", "points")
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run verification checks")
-    _add_config_args(p_verify)
+    _add_config_args(p_verify, "seed", "paths", "bins", "cells")
     p_verify.add_argument("--with-sde", action="store_true",
                           help="include the Monte Carlo histogram check")
     p_verify.add_argument("--pde-log",
@@ -514,7 +525,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_verify.set_defaults(func=cmd_verify)
 
     p_sample = sub.add_parser("sample", help="propagate paths and emit a histogram")
-    _add_config_args(p_sample)
+    _add_config_args(p_sample, "out", "seed", "paths", "bins")
     p_sample.set_defaults(func=cmd_sample)
 
     p_info = sub.add_parser("info", help="describe a solvable family")

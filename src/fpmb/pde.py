@@ -89,17 +89,14 @@ class ZGrid:
         return (self.z_hi - self.z_lo) / self.n_cells
 
 
-def make_grid(sol: SimilaritySolution, n_cells: int, *, tail_mass: float = 1e-12) -> ZGrid:
+def make_grid(sol: SimilaritySolution, n_cells: int) -> ZGrid:
     """Grid covering the reduced domain.
 
-    Half-line domains are truncated so the analytic tail mass beyond the
-    last face is below ``tail_mass``; zero flux is then applied at the
-    truncation face.
+    Half-line domains end at ``effective_upper``, where the analytic tail
+    mass beyond the last face drops below ``TAIL_MASS``; zero flux is then
+    applied at the truncation face.
     """
-    z_hi = sol.z_hi
-    if math.isinf(z_hi):
-        z_hi = effective_upper(sol, tail_mass=tail_mass)
-    return ZGrid(sol.z_lo, z_hi, n_cells)
+    return ZGrid(sol.z_lo, effective_upper(sol), n_cells)
 
 
 @dataclass(frozen=True)

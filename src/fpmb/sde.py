@@ -83,9 +83,8 @@ _CDF_TABLE_POINTS = 10_001
 
 
 @functools.lru_cache(maxsize=64)
-def _cdf_table(sol: SimilaritySolution, *, tail_mass: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    z_hi = effective_upper(sol, tail_mass=tail_mass)
-    z = np.linspace(sol.z_lo, z_hi, _CDF_TABLE_POINTS)
+def _cdf_table(sol: SimilaritySolution) -> tuple[np.ndarray, np.ndarray]:
+    z = np.linspace(sol.z_lo, effective_upper(sol), _CDF_TABLE_POINTS)
     y = reduced_density(sol, z)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(z))])
     cdf /= cdf[-1]
@@ -250,37 +249,28 @@ def step_ensemble(
 
 
 def propagate(
-    ens: PathEnsemble,
-    sol: SimilaritySolution,
-    t_end: float,
-    *,
-    dt_max: float = 1e-3,
-    boundary_motion_fraction: float = 0.1,
+    ens: PathEnsemble, sol: SimilaritySolution, t_end: float, *, dt_max: float = 1e-3
 ) -> PathEnsemble:
     """March the ensemble to ``t_end`` in substeps.
 
-    Substeps are capped so the boundary moves by less than
-    ``boundary_motion_fraction`` of the domain width per step, on top of the
-    ``dt_max`` accuracy cap.  Half-line domains are measured up to where
-    the analytic tail mass falls below 1e-6.  The whole grid is built
-    first, then every chunk of paths runs over it in log-time.
+    Substeps are capped at ``dt_max`` and so that the boundary moves by
+    less than a tenth of the domain width per step.  Width and boundary
+    speed both scale as t^alpha / t, so that cap is a fixed relative step
+    dt <= c t, with c from the reduced domain (a half line measured up to
+    ``effective_upper``).  The whole grid is built first, then every chunk
+    of paths runs over it in log-time.
     """
     t = _require("ensemble time t", ens.t)
     t_end = _require("t_end", t_end)
     dt_max = _require("dt_max", dt_max)
-    boundary_motion_fraction = _require("boundary_motion_fraction", boundary_motion_fraction)
     if t_end <= t:
         raise ValueError("t_end must exceed the ensemble time")
-    alpha = sol.alpha
-    z_lo, z_hi = sol.z_lo, effective_upper(sol, tail_mass=1e-6)
-    reduced_speed = max(abs(alpha * z_lo), abs(alpha * z_hi))
+    z_lo, z_hi = sol.z_lo, effective_upper(sol)
+    reduced_speed = max(abs(sol.alpha * z_lo), abs(sol.alpha * z_hi))
+    c = math.inf if reduced_speed == 0.0 else 0.1 * (z_hi - z_lo) / reduced_speed
     times = [t]
     while t < t_end - 1e-15 * t_end:
-        t_alpha = t**alpha
-        width = z_hi * t_alpha - z_lo * t_alpha
-        speed = reduced_speed * t ** (alpha - 1.0)
-        dt = dt_max if speed == 0.0 else min(dt_max, boundary_motion_fraction * width / speed)
-        t += min(dt, t_end - t)
+        t += min(dt_max, c * t, t_end - t)
         times.append(t)
     return _march(ens, sol, times)
 

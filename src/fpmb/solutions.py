@@ -69,6 +69,7 @@ __all__ = [
     "reduced_ode_residual",
     "interior_points",
     "effective_upper",
+    "TAIL_MASS",
 ]
 
 
@@ -208,6 +209,8 @@ class SimilaritySolution:
 
 
 _NORM_RTOL = 1e-12
+# analytic mass beyond the cut of a half line (see ``effective_upper``)
+TAIL_MASS = 1e-9
 _BUILD_AGREEMENT_GUARD = 1e-6
 
 
@@ -493,11 +496,9 @@ def boundary_positions(sol: SimilaritySolution, t: float) -> tuple[float, float]
 
 
 def truncated_positions(sol: SimilaritySolution, t: float) -> tuple[float, float]:
-    """Domain endpoints at t, a half line cut where its tail mass drops below 1e-9."""
-    lo, hi = boundary_positions(sol, t)
-    if math.isinf(hi):
-        hi = effective_upper(sol, tail_mass=1e-9) * t**sol.alpha
-    return lo, hi
+    """Domain endpoints at t, a half line cut at ``effective_upper``."""
+    t_alpha = _check_time(t) ** sol.alpha
+    return sol.z_lo * t_alpha, effective_upper(sol) * t_alpha
 
 
 def moment(sol: SimilaritySolution, k: int, t: float) -> float:
@@ -516,7 +517,8 @@ def mass(sol: SimilaritySolution, t: float, *, rtol: float = 1e-11) -> float:
 
     Deliberately integrates in the physical coordinate so the time
     prefactor and the coordinate map are exercised, not just the reduced
-    profile.
+    profile.  A half line is integrated to infinity, split at the image of
+    the tail start that ``_reduced_mass`` uses.
     """
     t = _check_time(t)
     x_lo, x_hi = boundary_positions(sol, t)
@@ -525,13 +527,11 @@ def mass(sol: SimilaritySolution, t: float, *, rtol: float = 1e-11) -> float:
         return density(sol, x, t)
 
     if math.isinf(x_hi):
-        split = effective_upper(sol, tail_mass=1e-6) * t**sol.alpha
-        left = integrate_adaptive(w_of_x, x_lo, split, 0.0, rtol=rtol)
-        right = integrate_adaptive(w_of_x, split, math.inf, 0.0, rtol=rtol)
+        mid = _tail_start(sol) * t**sol.alpha
     else:
         mid = 0.5 * (x_lo + x_hi)
-        left = integrate_adaptive(w_of_x, x_lo, mid, 0.0, rtol=rtol)
-        right = integrate_adaptive(w_of_x, mid, x_hi, 0.0, rtol=rtol)
+    left = integrate_adaptive(w_of_x, x_lo, mid, 0.0, rtol=rtol)
+    right = integrate_adaptive(w_of_x, mid, x_hi, 0.0, rtol=rtol)
     res = _combine(left, right)
     if not res.converged:
         raise RuntimeError(f"mass quadrature failed: error {res.abs_error_estimate:.3e}")
@@ -568,26 +568,24 @@ def reduced_ode_residual(sol: SimilaritySolution, z):
     return t1 + t2 + t3, np.abs(t1) + np.abs(t2) + np.abs(t3)
 
 
-def interior_points(sol: SimilaritySolution, n: int, *, tail_mass: float = 1e-9) -> np.ndarray:
-    """n points strictly inside the reduced domain (cell midpoints)."""
+def interior_points(sol: SimilaritySolution, n: int) -> np.ndarray:
+    """n cell midpoints inside the reduced domain, a half line cut at ``effective_upper``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    z_lo = sol.z_lo
-    z_hi = sol.z_hi
-    if math.isinf(z_hi):
-        z_hi = effective_upper(sol, tail_mass=tail_mass)
-    step = (z_hi - z_lo) / n
-    return z_lo + (np.arange(n) + 0.5) * step
+    step = (effective_upper(sol) - sol.z_lo) / n
+    return sol.z_lo + (np.arange(n) + 0.5) * step
 
 
 @functools.lru_cache(maxsize=256)
-def effective_upper(sol: SimilaritySolution, *, tail_mass: float = 1e-12) -> float:
-    """Upper truncation point for the half-line family.
+def effective_upper(sol: SimilaritySolution) -> float:
+    """Upper end of the reduced domain, with a half line cut at ``TAIL_MASS``.
 
-    Returns the finite endpoint unchanged for bounded domains; otherwise a
-    z beyond which the analytic density holds less than ``tail_mass``.
-    Cached: solutions are immutable values and the search costs many
-    quadratures.
+    The one place a half line is truncated: eval tables, histograms, the
+    PDE grid, the identity sample points and the Monte Carlo step cap all
+    end here.  Returns the finite endpoint unchanged for bounded domains;
+    otherwise a z beyond which the analytic density holds less than
+    ``TAIL_MASS``.  Cached: solutions are immutable values and the search
+    costs many quadratures.
     """
     if not math.isinf(sol.z_hi):
         return sol.z_hi
@@ -602,7 +600,7 @@ def effective_upper(sol: SimilaritySolution, *, tail_mass: float = 1e-12) -> flo
     lo = _tail_start(sol)
     hi = lo
     width = max(1.0, lo - sol.z_lo)
-    while tail(hi) > tail_mass:
+    while tail(hi) > TAIL_MASS:
         hi += width
         width *= 2.0
         if width > 1e12:
@@ -611,7 +609,7 @@ def effective_upper(sol: SimilaritySolution, *, tail_mass: float = 1e-12) -> flo
         return hi
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if tail(mid) > tail_mass:
+        if tail(mid) > TAIL_MASS:
             lo = mid
         else:
             hi = mid

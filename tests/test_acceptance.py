@@ -18,7 +18,6 @@ from fpmb import (
     boundary_positions,
     build_solution,
     density,
-    effective_upper,
     first_integral_residual,
     interior_points,
     kummer_1f1,
@@ -30,6 +29,7 @@ from fpmb import (
     tricomi_u,
 )
 from fpmb import integrate_adaptive
+from fpmb.solutions import truncated_positions
 from fpmb.pde import (
     fpe_residual_at,
     l1_distance,
@@ -131,9 +131,7 @@ def test_criterion_4_fpe_residual_convergence(presets):
     for name, sol in presets.items():
         times = PRESETS[name].times
         t = times[len(times) // 2]
-        lo, hi = boundary_positions(sol, t)
-        if math.isinf(hi):
-            hi = effective_upper(sol, tail_mass=1e-9) * t**sol.alpha
+        lo, hi = truncated_positions(sol, t)
         h = 0.01 * (hi - lo)
         dt = 0.01 * t
         window = probe_window(sol, t, h, dt)

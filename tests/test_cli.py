@@ -182,13 +182,32 @@ class TestEvalMatchesScalarPath:
         assert all(float(row[1]) == 0.0 for row in rows[::2])
         assert all(float(row[2]) == 0.0 for row in rows)
 
-    @pytest.mark.parametrize("points", ["0", "-1", "1"])
-    def test_too_few_points_rejected(self, points, capsys):
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["eval", "--points", "0"], "--points", id="0"),
+        pytest.param(["eval", "--points", "-1"], "--points", id="-1"),
+        pytest.param(["eval", "--points", "1"], "--points", id="1"),
+        pytest.param(["sample", "--paths", "0"], "--paths", id="sample-paths-0"),
+        pytest.param(["sample", "--bins", "0"], "--bins", id="sample-bins-0"),
+        pytest.param(["sample", "--bins", "9"], "--bins", id="sample-bins-9"),
+        pytest.param(["verify", "--cells", "2"], "--cells", id="verify-cells-2"),
+        pytest.param(["verify", "--paths", "x"], "--paths", id="verify-paths-x"),
+        # flags a subcommand does not read are not accepted
+        pytest.param(["eval", "--points", "3", "--cells", "1"], "--cells", id="eval-cells"),
+        pytest.param(["eval", "--seed", "5"], "--seed", id="eval-seed"),
+        pytest.param(["eval", "--paths", "10"], "--paths", id="eval-paths"),
+        pytest.param(["eval", "--bins", "10"], "--bins", id="eval-bins"),
+        pytest.param(["sample", "--cells", "10"], "--cells", id="sample-cells"),
+        pytest.param(["sample", "--points", "10"], "--points", id="sample-points"),
+        pytest.param(["verify", "--points", "10"], "--points", id="verify-points"),
+    ])
+    def test_too_few_points_rejected(self, argv, flag, capsys):
+        """Counts below the library's minimum, and flags a subcommand ignores,
+        are argparse errors that name the flag."""
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--preset", "fig1", "--points", points])
+            main([argv[0], "--preset", "fig1", *argv[1:]])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "--points" in captured.err
+        assert flag in captured.err
         assert captured.out == ""
 
 

@@ -14,9 +14,9 @@ from fpmb import (
     boundary_positions,
     build_solution,
     coefficients,
-    effective_upper,
 )
 from fpmb import sde
+from fpmb.solutions import truncated_positions
 from fpmb.sde import (
     CHUNK_PATHS,
     PathEnsemble,
@@ -181,8 +181,7 @@ class TestQuadraticStepper:
             for _ in range(100):
                 ens = step_ensemble(ens, sol, 1e-3)
                 ref = reference_step(ref, sol, 1e-3)
-            lo = boundary_positions(sol, ens.t)[0]
-            hi = effective_upper(sol, tail_mass=1e-6) * ens.t**sol.alpha
+            lo, hi = truncated_positions(sol, ens.t)
             assert ens.t == ref.t
             assert float(np.abs(ens.positions - ref.positions).max()) <= 1e-12 * (hi - lo)
             assert ens.n_reflections == ref.n_reflections
@@ -281,7 +280,6 @@ class TestNonFiniteInputs:
         ("t_end", {"t_end": math.inf}),
         ("dt_max", {"dt_max": math.nan}),
         ("dt_max", {"dt_max": 0.0}),
-        ("boundary_motion_fraction", {"boundary_motion_fraction": 0.0}),
     ])
     def test_propagate_arguments(self, built_presets, name, kwargs):
         ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)

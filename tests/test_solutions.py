@@ -26,7 +26,7 @@ from fpmb import (
     reduced_density,
     reduced_ode_residual,
 )
-from fpmb.solutions import truncated_positions
+from fpmb.solutions import TAIL_MASS, truncated_positions
 
 
 def random_params(rng, family):
@@ -396,12 +396,51 @@ class TestEffectiveUpper:
         from fpmb.specfun import integrate_adaptive
 
         sol = built_presets["fig5"]
-        z_max = effective_upper(sol, tail_mass=1e-12)
+        z_max = effective_upper(sol)
         res = integrate_adaptive(
             lambda z: np.asarray(reduced_density(sol, z)), z_max, math.inf, 0.0, rtol=1e-6
         )
-        assert res.value <= 1e-12
-        assert res.value >= 1e-14  # not absurdly over-truncated
+        assert res.value <= TAIL_MASS
+        assert res.value >= TAIL_MASS / 100  # not absurdly over-truncated
+
+
+class TestOneTruncation:
+    """Every channel cuts a half line at the same point, found once."""
+
+    @pytest.fixture(scope="class")
+    def half_line_models(self, built_presets):
+        rng = np.random.default_rng(1907)
+        return [
+            built_presets["fig5"],
+            build_solution(-1.0, ClassIII(z1=0.0, a1=1.5, a2=0.7, beta=2.0)),
+            build_solution(random_alpha(rng), random_params(rng, "III")),
+        ]
+
+    def test_every_channel_ends_at_effective_upper(self, half_line_models):
+        from fpmb import pde, sde
+
+        for sol in half_line_models:
+            upper = effective_upper(sol)
+            assert pde.make_grid(sol, 64).z_hi == upper
+            points = interior_points(sol, 7)
+            top = points[-1] + 0.5 * (points[1] - points[0])
+            assert top == pytest.approx(upper, rel=1e-14)
+            assert sde._cdf_table(sol)[0][-1] == upper
+            assert truncated_positions(sol, 1.0)[1] == upper
+            for t in (0.3, 2.5):
+                x_hi = truncated_positions(sol, t)[1]
+                assert x_hi / t**sol.alpha == pytest.approx(upper, rel=1e-15)
+
+    def test_run_checks_cuts_once(self):
+        import dataclasses
+
+        from fpmb import cli, sde
+
+        cfg = dataclasses.replace(cli.load_preset_config("fig5"), n_paths=20_000)
+        effective_upper.cache_clear()
+        sde._cdf_table.cache_clear()
+        cli.run_checks(cfg, with_sde=True)
+        assert effective_upper.cache_info().misses == 1
 
 
 class TestPresets:
