@@ -114,6 +114,8 @@ _KEY_TO_FIELD = {
 _FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 _INT_FIELDS = {"n_cells", "n_paths", "seed", "n_bins"}
 _STR_FIELDS = {"class_name", "out"}
+# smallest count the library takes, by config key (the same name as the flag)
+_MINIMUMS = {"cells": 3, "paths": 1, "bins": 10}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -144,6 +146,10 @@ def parse_config(text: str) -> RunConfig:
                 values[name] = float(val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
+        if key in _MINIMUMS and values[name] < _MINIMUMS[key]:
+            raise ValueError(
+                f"line {lineno}: {key!r} must be at least {_MINIMUMS[key]}, got {values[name]}"
+            )
     missing = [k for k in ("class", "alpha", "a1", "a2", "times") if _KEY_TO_FIELD[k] not in values]
     if missing:
         raise ValueError(f"missing required keys: {', '.join(missing)}")
@@ -353,7 +359,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         cfg = load_preset_config(args.preset)
     elif args.config is not None:
         with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+            text = fh.read()
+        try:
+            cfg = parse_config(text)
+        except ValueError as exc:
+            raise SystemExit(f"{args.config}: {exc}") from None
     else:
         raise SystemExit("one of --preset or --config is required")
     overrides = {}
@@ -491,9 +501,12 @@ _FLAGS = {
     "points": dict(type=_int_at_least(2), default=201,
                    help="x samples per time, endpoints included (default 201, minimum 2)"),
     "seed": dict(type=int, help="RNG seed override"),
-    "paths": dict(type=_int_at_least(1), help="Monte Carlo path count override (minimum 1)"),
-    "bins": dict(type=_int_at_least(10), help="histogram bin count override (minimum 10)"),
-    "cells": dict(type=_int_at_least(3), help="PDE grid cells override (minimum 3)"),
+    "paths": dict(type=_int_at_least(_MINIMUMS["paths"]),
+                  help=f"Monte Carlo path count override (minimum {_MINIMUMS['paths']})"),
+    "bins": dict(type=_int_at_least(_MINIMUMS["bins"]),
+                 help=f"histogram bin count override (minimum {_MINIMUMS['bins']})"),
+    "cells": dict(type=_int_at_least(_MINIMUMS["cells"]),
+                  help=f"PDE grid cells override (minimum {_MINIMUMS['cells']})"),
 }
 
 

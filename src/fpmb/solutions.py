@@ -576,6 +576,15 @@ def interior_points(sol: SimilaritySolution, n: int) -> np.ndarray:
     return sol.z_lo + (np.arange(n) + 0.5) * step
 
 
+# the tail search aims just inside the budget, so that the quadrature's
+# error cannot push the mass beyond the cut above TAIL_MASS; it stops once
+# ln T is within _TAIL_LOG_TOL of ln T*, ten times the quadrature's rtol
+_TAIL_TARGET = TAIL_MASS * (1.0 - 1e-8)
+_TAIL_RTOL = 1e-10
+_TAIL_LOG_TOL = 1e-9
+_TAIL_MAX_STEPS = 60
+
+
 @functools.lru_cache(maxsize=256)
 def effective_upper(sol: SimilaritySolution) -> float:
     """Upper end of the reduced domain, with a half line cut at ``TAIL_MASS``.
@@ -583,9 +592,12 @@ def effective_upper(sol: SimilaritySolution) -> float:
     The one place a half line is truncated: eval tables, histograms, the
     PDE grid, the identity sample points and the Monte Carlo step cap all
     end here.  Returns the finite endpoint unchanged for bounded domains;
-    otherwise a z beyond which the analytic density holds less than
-    ``TAIL_MASS``.  Cached: solutions are immutable values and the search
-    costs many quadratures.
+    otherwise a z whose analytic tail mass T(z) lies within 1e-9 relative
+    of ``TAIL_MASS (1 - 1e-8)``, so never above ``TAIL_MASS``.  The search
+    is Newton on g = ln T - ln T* with g' = -y / T, from ``_tail_start``:
+    y is log-concave, so is its tail, and a handful of tail quadratures
+    suffice.  A bracket on the root is kept, and a step that leaves it is
+    replaced by bisection.  Cached: solutions are immutable values.
     """
     if not math.isinf(sol.z_hi):
         return sol.z_hi
@@ -593,27 +605,24 @@ def effective_upper(sol: SimilaritySolution) -> float:
     def integrand(z):
         return np.exp(log_y(sol, z))
 
-    def tail(z: float) -> float:
-        res = integrate_adaptive(integrand, z, math.inf, 0.0, rtol=1e-6)
-        return sol.norm_A * res.value
-
-    lo = _tail_start(sol)
-    hi = lo
-    width = max(1.0, lo - sol.z_lo)
-    while tail(hi) > TAIL_MASS:
-        hi += width
-        width *= 2.0
-        if width > 1e12:
-            raise RuntimeError("failed to locate the tail truncation point")
-    if hi == lo:
-        return hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) > TAIL_MASS:
-            lo = mid
+    log_target = math.log(_TAIL_TARGET / sol.norm_A)
+    lo, hi = sol.z_lo, math.inf
+    z = _tail_start(sol)
+    for _ in range(_TAIL_MAX_STEPS):
+        tail = integrate_adaptive(integrand, z, math.inf, 0.0, rtol=_TAIL_RTOL).value
+        g = math.log(tail) - log_target if tail > 0.0 else -math.inf
+        if abs(g) <= _TAIL_LOG_TOL:
+            return z
+        if g > 0.0:
+            lo = z
         else:
-            hi = mid
-    return hi
+            hi = z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z_new = float(z + g * tail / integrand(z))
+        if not lo < z_new < hi:
+            z_new = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * z - sol.z_lo
+        z = z_new
+    raise RuntimeError("failed to locate the tail truncation point")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,37 @@
+import numpy as np
 import pytest
 
-from fpmb import PRESETS, ClassI, ClassII, preset_solution
+from fpmb import PRESETS, ClassI, ClassII, ClassIII, build_solution, preset_solution
 
 
 @pytest.fixture(scope="session")
 def built_presets():
     """Every named preset built once for the whole run."""
     return {name: preset_solution(name) for name in PRESETS}
+
+
+@pytest.fixture(scope="session")
+def random_models():
+    """20 admissible parameter sets per family, fixed seed."""
+    rng = np.random.default_rng(20260808)
+    models = []
+    for _ in range(20):
+        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
+        z1 = rng.uniform(-3.0, 2.0)
+        models.append(build_solution(alpha, ClassI(
+            z1=z1, z2=z1 + rng.uniform(0.5, 4.0),
+            a1=rng.uniform(0.4, 4.0), a2=rng.uniform(0.4, 4.0))))
+    for _ in range(20):
+        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
+        models.append(build_solution(alpha, ClassII(
+            z2=rng.uniform(0.5, 5.0), a1=rng.uniform(0.4, 4.0),
+            a2=rng.uniform(0.4, 4.0), beta=rng.uniform(-3.0, 3.0))))
+    for _ in range(20):
+        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
+        models.append(build_solution(alpha, ClassIII(
+            z1=rng.uniform(0.0, 2.0), a1=rng.uniform(0.4, 4.0),
+            a2=rng.uniform(0.4, 4.0), beta=rng.uniform(0.3, 3.0))))
+    return models
 
 
 def _transcribed_profiles(alpha, params):

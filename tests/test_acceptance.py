@@ -11,12 +11,9 @@ import numpy as np
 import pytest
 
 from fpmb import (
-    ClassI,
-    ClassII,
     ClassIII,
     PRESETS,
     boundary_positions,
-    build_solution,
     density,
     first_integral_residual,
     interior_points,
@@ -52,30 +49,6 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def presets():
     return {name: preset_solution(name) for name in PRESET_NAMES}
-
-
-@pytest.fixture(scope="module")
-def random_models():
-    """20 admissible parameter sets per family, fixed seed."""
-    rng = np.random.default_rng(20260808)
-    models = []
-    for _ in range(20):
-        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
-        z1 = rng.uniform(-3.0, 2.0)
-        models.append(build_solution(alpha, ClassI(
-            z1=z1, z2=z1 + rng.uniform(0.5, 4.0),
-            a1=rng.uniform(0.4, 4.0), a2=rng.uniform(0.4, 4.0))))
-    for _ in range(20):
-        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
-        models.append(build_solution(alpha, ClassII(
-            z2=rng.uniform(0.5, 5.0), a1=rng.uniform(0.4, 4.0),
-            a2=rng.uniform(0.4, 4.0), beta=rng.uniform(-3.0, 3.0))))
-    for _ in range(20):
-        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
-        models.append(build_solution(alpha, ClassIII(
-            z1=rng.uniform(0.0, 2.0), a1=rng.uniform(0.4, 4.0),
-            a2=rng.uniform(0.4, 4.0), beta=rng.uniform(0.3, 3.0))))
-    return models
 
 
 def test_criterion_1_normalization(presets, random_models):

@@ -68,6 +68,25 @@ class TestConfig:
         with pytest.raises(ValueError, match="line 1"):
             parse_config("alpha = two\n")
 
+    _FIG1_TEXT = "class = I\nalpha = 2.0\nz1 = 1.0\nz2 = 4.0\na1 = 1.0\na2 = 0.5\ntimes = 0.3\n"
+
+    @pytest.mark.parametrize("key, field, minimum", [
+        ("cells", "n_cells", 3), ("paths", "n_paths", 1), ("bins", "n_bins", 10),
+    ])
+    def test_count_below_minimum_reports_line_and_key(self, key, field, minimum):
+        with pytest.raises(ValueError, match=f"line 1: '{key}' must be at least {minimum}"):
+            parse_config(f"{key} = {minimum - 1}\n{self._FIG1_TEXT}")
+        cfg = parse_config(f"{key} = {minimum}\n{self._FIG1_TEXT}")
+        assert getattr(cfg, field) == minimum
+
+    def test_bad_config_file_exits_with_file_name(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(self._FIG1_TEXT + "cells = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(path)])
+        assert exc.value.code == f"{path}: line 8: 'cells' must be at least 3, got 2"
+        assert capsys.readouterr().out == ""
+
     def test_missing_required_keys(self):
         with pytest.raises(ValueError, match="missing required"):
             parse_config("alpha = 2.0\n")
@@ -232,7 +251,8 @@ def test_cli_import_defers_scipy_sparse():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["loaded_at_import"] is False
-    assert report["loaded_after_evolve"] is True
+    # the implicit steps use LAPACK's tridiagonal solver, not scipy.sparse
+    assert report["loaded_after_evolve"] is False
     expected = {r.name: r for r in run_checks(load_preset_config("fig1"))}
     assert len(report["results"]) == 2
     for name, measured, passed in report["results"]:

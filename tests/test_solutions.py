@@ -404,6 +404,47 @@ class TestEffectiveUpper:
         assert res.value >= TAIL_MASS / 100  # not absurdly over-truncated
 
 
+class TestTailContract:
+    """A half line is cut just inside TAIL_MASS, in a few tail quadratures."""
+
+    @pytest.fixture(scope="class")
+    def half_line_models(self, built_presets, random_models):
+        return [
+            built_presets["fig5"],
+            build_solution(-1.0, ClassIII(z1=0.0, a1=1.5, a2=0.7, beta=2.0)),
+            *(sol for sol in random_models if isinstance(sol.class_params, ClassIII)),
+            # a Newton search that stops only at g <= 0 stalls here at g = +3.6e-15
+            build_solution(1.0200853410496666, ClassIII(
+                z1=0.8040989272271994, a1=3.7825332425856715,
+                a2=3.8808082947146407, beta=2.4928048267064047)),
+            # a bisection at rtol 1e-6 cut this one with 1.00000037 TAIL_MASS beyond
+            build_solution(0.8180250848697308, ClassIII(
+                z1=0.5551023228271228, a1=0.7564249418415885,
+                a2=1.4144611659530022, beta=1.9891491694191572)),
+        ]
+
+    def test_tail_beyond_cut_within_budget(self, half_line_models, monkeypatch):
+        from fpmb import solutions
+        from fpmb.specfun import integrate_adaptive
+
+        quadratures = []
+
+        def counting(*args, **kwargs):
+            quadratures.append(args[1])
+            return integrate_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(solutions, "integrate_adaptive", counting)
+        for sol in half_line_models:
+            quadratures.clear()
+            z_cut = effective_upper.__wrapped__(sol)
+            assert len(quadratures) <= 8, sol.class_params
+            res = integrate_adaptive(
+                lambda z: np.asarray(reduced_density(sol, z)), z_cut, math.inf, 0.0, rtol=1e-13
+            )
+            assert res.converged
+            assert TAIL_MASS * (1.0 - 1e-6) <= res.value <= TAIL_MASS, sol.class_params
+
+
 class TestOneTruncation:
     """Every channel cuts a half line at the same point, found once."""
 
