@@ -182,12 +182,12 @@ class SimilaritySolution:
     The reduced density is y = norm_A l1^a1 l2^a2 e^(rate z) on
     (z_lo, z_hi).  Each entry of ``factors`` is a linear factor
     (root r, orientation s, exponent a), with l(z) = z - r for s = +1 and
-    r - z for s = -1.  ``drift_coefs`` and ``diffusion_coefs`` are the
-    coefficients of the quadratics rho1 and rho2 = l1 l2 in ascending powers
-    of z, generated from the factors at build time.  ``norm_A`` is the
-    normalization in use (``norm_A_source`` says which route produced it);
-    both routes are retained so their agreement can be asserted
-    independently.
+    r - z for s = -1; the first factor vanishes at z_lo.  ``drift_coefs``
+    and ``diffusion_coefs`` are the coefficients of the quadratics rho1 and
+    rho2 = l1 l2 in ascending powers of z, generated from the factors at
+    build time.  ``norm_A`` is the normalization in use (``norm_A_source``
+    says which route produced it); both routes are retained so their
+    agreement can be asserted independently.
     """
 
     exponents: ScalingExponents
@@ -265,44 +265,51 @@ def _tail_start(sol: SimilaritySolution, weight_power: int = 0) -> float:
     return sol.z_lo + max(1.0, (a1 + a2 + 2.0 + weight_power) / -sol.rate)
 
 
-def _reduced_mass(sol: SimilaritySolution, weight_power: int = 0) -> QuadratureResult:
-    """Quadrature of z^k * exp(log_y) over the reduced domain.
+def _domain_quadrature(sol: SimilaritySolution, g, scale: float, k: int,
+                       rtol: float) -> QuadratureResult:
+    """Quadrature of g over the reduced domain mapped by z -> scale z, scale > 0.
 
-    Splits at an interior point and integrates each half with the endpoint
-    behavior made explicit, reflecting the upper half so both singular
-    endpoints sit at a lower limit.  Near a finite endpoint e the integrand
-    goes like (z - e)^p, p the exponents of the factors with root e, plus k
-    when e = 0.
+    Splits at an interior point (the tail start of z^k y on a half line) and
+    integrates each half with the endpoint behavior made explicit, reflecting
+    the upper half so both singular endpoints sit at a lower limit.  Near a
+    finite endpoint e the integrand goes like (z - e)^p, p the exponents of
+    the factors with root e, plus k when e = 0 (g carries the weight z^k).
     """
+
+    def endpoint_power(e: float) -> float:
+        p = sum(a for root, _, a in sol.factors if root == e)
+        return p + k if e == 0.0 else p
+
+    lo = sol.z_lo * scale
+    if math.isinf(sol.z_hi):
+        split = _tail_start(sol, k) * scale
+        left = integrate_adaptive(g, lo, split, 0.0, rtol=rtol,
+                                  endpoint_power=endpoint_power(sol.z_lo))
+        right = integrate_adaptive(g, split, math.inf, 0.0, rtol=rtol)
+        return _combine(left, right)
+
+    hi = sol.z_hi * scale
+    mid = 0.5 * (sol.z_lo + sol.z_hi) * scale
+    left = integrate_adaptive(g, lo, mid, 0.0, rtol=rtol,
+                              endpoint_power=endpoint_power(sol.z_lo))
+
+    def reflected(u):
+        return g(hi - np.asarray(u, dtype=float))
+
+    right = integrate_adaptive(reflected, 0.0, hi - mid, 0.0, rtol=rtol,
+                               endpoint_power=endpoint_power(sol.z_hi))
+    return _combine(left, right)
+
+
+def _reduced_mass(sol: SimilaritySolution, weight_power: int = 0) -> QuadratureResult:
+    """Quadrature of z^k * exp(log_y) over the reduced domain, k = weight_power."""
     k = weight_power
 
     def integrand(z):
         z = np.asarray(z, dtype=float)
         return z**k * np.exp(log_y(sol, z))
 
-    def endpoint_power(e: float) -> float:
-        p = sum(a for root, _, a in sol.factors if root == e)
-        return p + k if e == 0.0 else p
-
-    z_lo = sol.z_lo
-    if math.isinf(sol.z_hi):
-        split = _tail_start(sol, k)
-        left = integrate_adaptive(integrand, z_lo, split, 0.0, rtol=_NORM_RTOL,
-                                  endpoint_power=endpoint_power(z_lo))
-        right = integrate_adaptive(integrand, split, math.inf, 0.0, rtol=_NORM_RTOL)
-        return _combine(left, right)
-
-    z_hi = sol.z_hi
-    mid = 0.5 * (z_lo + z_hi)
-    left = integrate_adaptive(integrand, z_lo, mid, 0.0, rtol=_NORM_RTOL,
-                              endpoint_power=endpoint_power(z_lo))
-
-    def reflected(u):
-        return integrand(z_hi - np.asarray(u, dtype=float))
-
-    right = integrate_adaptive(reflected, 0.0, z_hi - mid, 0.0, rtol=_NORM_RTOL,
-                               endpoint_power=endpoint_power(z_hi))
-    return _combine(left, right)
+    return _domain_quadrature(sol, integrand, 1.0, k, _NORM_RTOL)
 
 
 def _quadratic_tuple(coefs) -> tuple[float, float, float]:
@@ -310,40 +317,36 @@ def _quadratic_tuple(coefs) -> tuple[float, float, float]:
     return tuple(map(float, coefs)) + (0.0,) * (3 - len(coefs))
 
 
-def _closed_form_norm(alpha: float, params: SolutionClass) -> float:
-    """Closed-form normalization constant for each family.
+def _closed_form_norm(sol: SimilaritySolution) -> float:
+    """Closed-form normalization 1 / int y / A dz, read off the Pearson form.
 
-    For the half-line family with z1 > 0 this is the Whittaker form with
-    argument beta * z1 (derived from the density itself); at z1 = 0 the
-    Whittaker form degenerates and the Gamma form of the limit is used.
+    The first factor vanishes at z_lo.  A finite domain of width w maps onto
+    [0, 1], giving e^(b z_lo) w^(a1+a2+1) B(a1+1, a2+1) 1F1(a1+1; a1+a2+2; b w),
+    with 1F1 = 1 at b = 0.  On a half line the second factor is z itself and
+    beta = -b > 0: the integral is the Whittaker form with argument
+    beta * z_lo, and its Gamma limit at z_lo = 0.
     """
-    if isinstance(params, ClassI):
-        log_inv = (params.a1 + params.a2 + 1.0) * math.log(params.z2 - params.z1)
-        log_inv += ln_beta(params.a1 + 1.0, params.a2 + 1.0)
-        return math.exp(-log_inv)
-    if isinstance(params, ClassII):
-        log_inv = (params.a1 + params.a2 + 1.0) * math.log(params.z2)
-        log_inv += ln_beta(params.a1 + 1.0, params.a2 + 1.0)
-        log_inv += math.log(
-            kummer_1f1(params.a1 + 1.0, params.a1 + params.a2 + 2.0, params.beta * params.z2)
-        )
-        return math.exp(-log_inv)
-    if isinstance(params, ClassIII):
-        s = params.a1 + params.a2
-        if params.z1 == 0.0:
-            return math.exp((s + 1.0) * math.log(params.beta) - ln_gamma(s + 1.0))
-        w_val = whittaker_w(
-            0.5 * (params.a2 - params.a1), 0.5 * (s + 1.0), params.beta * params.z1
-        )
+    (_, _, a1), (_, _, a2) = sol.factors
+    s = a1 + a2
+    z_lo = sol.z_lo
+    if math.isinf(sol.z_hi):
+        beta = -sol.rate
+        if z_lo == 0.0:
+            return math.exp((s + 1.0) * math.log(beta) - ln_gamma(s + 1.0))
+        w_val = whittaker_w(0.5 * (a2 - a1), 0.5 * (s + 1.0), beta * z_lo)
         log_inv = (
-            -0.5 * (s + 2.0) * math.log(params.beta)
-            + 0.5 * s * math.log(params.z1)
-            + ln_gamma(params.a1 + 1.0)
-            - 0.5 * params.beta * params.z1
+            -0.5 * (s + 2.0) * math.log(beta)
+            + 0.5 * s * math.log(z_lo)
+            + ln_gamma(a1 + 1.0)
+            - 0.5 * beta * z_lo
             + math.log(w_val)
         )
         return math.exp(-log_inv)
-    raise TypeError(f"unsupported parameter set: {params!r}")
+    width = sol.z_hi - z_lo
+    log_inv = sol.rate * z_lo + (s + 1.0) * math.log(width)
+    log_inv += ln_beta(a1 + 1.0, a2 + 1.0)
+    log_inv += math.log(kummer_1f1(a1 + 1.0, s + 2.0, sol.rate * width))
+    return math.exp(-log_inv)
 
 
 def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
@@ -385,7 +388,7 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
             f"error estimate {quad.abs_error_estimate:.3e}"
         )
     norm_quad = 1.0 / quad.value
-    norm_closed = _closed_form_norm(alpha, params)
+    norm_closed = _closed_form_norm(shape)
     rel = abs(norm_closed - norm_quad) / norm_quad
     if rel > _BUILD_AGREEMENT_GUARD:
         raise RuntimeError(
@@ -517,22 +520,16 @@ def mass(sol: SimilaritySolution, t: float, *, rtol: float = 1e-11) -> float:
 
     Deliberately integrates in the physical coordinate so the time
     prefactor and the coordinate map are exercised, not just the reduced
-    profile.  A half line is integrated to infinity, split at the image of
-    the tail start that ``_reduced_mass`` uses.
+    profile.  The split and the endpoint powers are those of the
+    normalization quadrature (``_domain_quadrature``), mapped to x by
+    t^alpha; a half line is integrated to infinity.
     """
     t = _check_time(t)
-    x_lo, x_hi = boundary_positions(sol, t)
 
     def w_of_x(x):
         return density(sol, x, t)
 
-    if math.isinf(x_hi):
-        mid = _tail_start(sol) * t**sol.alpha
-    else:
-        mid = 0.5 * (x_lo + x_hi)
-    left = integrate_adaptive(w_of_x, x_lo, mid, 0.0, rtol=rtol)
-    right = integrate_adaptive(w_of_x, mid, x_hi, 0.0, rtol=rtol)
-    res = _combine(left, right)
+    res = _domain_quadrature(sol, w_of_x, t**sol.alpha, 0, rtol)
     if not res.converged:
         raise RuntimeError(f"mass quadrature failed: error {res.abs_error_estimate:.3e}")
     return res.value

@@ -1,10 +1,11 @@
-"""Self-contained special functions and adaptive quadrature.
+"""Special functions and adaptive quadrature.
 
 Provides the log-gamma / Beta / Kummer / Tricomi kernels needed by the
 normalization constants of the solvable families, plus a Gauss-Kronrod
 adaptive integrator that doubles as the package's independent numerical
-oracle.  Everything is assembled in log space where overflow is a risk,
-and nothing here depends on an external special-function library.
+oracle.  Log-gamma comes from the standard library (``math.lgamma``); the
+rest is written here, assembled in log space where overflow is a risk, and
+depends on no external special-function library.
 """
 
 from __future__ import annotations
@@ -33,39 +34,12 @@ class ConvergenceError(RuntimeError):
     """An iterative evaluation failed to reach its tolerance."""
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy of the
-# kernel is a few 1e-15 for x >= 0.5; arguments below 0.5 are lifted with
-# the recurrence ln Gamma(x) = ln Gamma(x + 1) - ln x.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
+    """Natural log of Gamma(x) for x > 0 (the standard library's ``math.lgamma``)."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"ln_gamma requires finite x > 0, got {x!r}")
-    shift = 0.0
-    while x < 0.5:
-        shift -= math.log(x)
-        x += 1.0
-    w = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return shift + _HALF_LOG_TWO_PI + (w + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def ln_beta(p: float, q: float) -> float:

@@ -87,6 +87,24 @@ class TestConfig:
         assert exc.value.code == f"{path}: line 8: 'cells' must be at least 3, got 2"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param({"a1": "-1.0"}, "a1=-1.0", id="negative-exponent"),
+        pytest.param({"alpha": "0.0"}, "alpha must be finite and nonzero", id="zero-alpha"),
+        pytest.param({"z1": "4.0", "z2": "1.0"}, "need z1 < z2", id="reversed-domain"),
+    ])
+    def test_inadmissible_model_exits_with_file_name(self, edit, message, tmp_path, capsys):
+        keys = dict(line.split(" = ") for line in self._FIG1_TEXT.splitlines())
+        text = "".join(f"{k} = {edit.get(k, v)}\n" for k, v in keys.items())
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(path)])
+        assert exc.value.code.startswith(f"{path}: ")
+        assert message in exc.value.code
+        assert capsys.readouterr().out == ""
+
     def test_missing_required_keys(self):
         with pytest.raises(ValueError, match="missing required"):
             parse_config("alpha = 2.0\n")
@@ -258,6 +276,29 @@ def test_cli_import_defers_scipy_sparse():
     for name, measured, passed in report["results"]:
         assert passed == expected[name].passed
         assert measured == expected[name].measured
+
+
+_NO_SPECIAL_SCRIPT = """
+import sys
+import fpmb.cli as cli
+out = sys.argv[1]
+codes = [
+    cli.main(["verify", "--preset", "fig5"]),
+    cli.main(["eval", "--preset", "fig5", "--out", out + "/eval.csv"]),
+    cli.main(["sample", "--preset", "fig5", "--paths", "2000", "--out", out + "/hist.csv"]),
+]
+print(codes, "scipy.special" in sys.modules)
+"""
+
+
+def test_subcommands_never_load_scipy_special(tmp_path):
+    """Log-gamma comes from the standard library; importing scipy.special
+    would add several MiB of resident memory to every run."""
+    src = str(Path(fpmb.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _NO_SPECIAL_SCRIPT, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 class TestVerify:

@@ -100,6 +100,15 @@ class TestBuild:
         rel = abs(sol.norm_A_closed - sol.norm_A_quadrature) / sol.norm_A_quadrature
         assert rel <= 1e-10
 
+    def test_closed_form_matches_per_family_formulas(
+            self, built_presets, random_models, reference_closed_norm):
+        """The Pearson-form reader gives the per-family closed forms to the bit."""
+        models = [*built_presets.values(), *random_models,
+                  build_solution(1.5, ClassIII(z1=0.0, a1=0.7, a2=1.9, beta=2.2)),
+                  build_solution(-0.8, ClassI(z1=-2.5, z2=-0.5, a1=0.6, a2=3.1))]
+        for sol in models:
+            assert sol.norm_A_closed == reference_closed_norm(sol.class_params), sol.class_params
+
     def test_origin_edge_two_boundary_matches_fixed_origin_family(self):
         a = build_solution(2.0, ClassI(z1=0.0, z2=2.0, a1=1.5, a2=0.7))
         b = build_solution(2.0, ClassII(z2=2.0, a1=1.5, a2=0.7, beta=0.0))
@@ -321,6 +330,21 @@ class TestMassAndNorm:
         for sol in built_presets.values():
             for t in (0.3, 1.0, 3.0):
                 assert mass(sol, t) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("alpha, params, times", [
+        *(pytest.param(spec.alpha, spec.params, spec.times, id=name)
+          for name, spec in PRESETS.items()),
+        pytest.param(-1.5, ClassI(z1=-1.0, z2=2.0, a1=0.45, a2=0.45), (0.3, 1.0, 3.0), id="I"),
+        pytest.param(2.5, ClassII(z2=3.0, a1=0.4, a2=0.7, beta=-2.0), (0.3, 1.0, 3.0), id="II"),
+        pytest.param(-0.7, ClassIII(z1=0.8, a1=0.4, a2=0.9, beta=1.3), (0.3, 1.0, 3.0),
+                     id="III"),
+    ])
+    def test_mass_treats_singular_endpoints(self, alpha, params, times):
+        """mass shares the endpoint powers of the reduced quadrature, so it is
+        accurate to a few ulps even where the density is singular."""
+        sol = build_solution(alpha, params)
+        for t in times:
+            assert abs(mass(sol, t) - 1.0) <= 5e-14
 
     def test_random_models_normalized_and_routes_agree(self):
         rng = np.random.default_rng(20260808)
