@@ -9,6 +9,7 @@ significant digits so downstream diffs are meaningful.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -339,16 +340,28 @@ def run_checks(
     return results
 
 
+_NUMBER_SPEC = ".17g"
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return format(value, _NUMBER_SPEC)
 
 
-def _write_rows(path: str | None, header: str, rows: Iterable[str]) -> None:
+def _csv_block(columns: Sequence[np.ndarray]) -> str:
+    """CSV rows of equal-length columns, each value as ``_fmt`` writes it,
+    built by one ``%`` format over the whole block."""
+    table = np.column_stack(columns)
+    row = ",".join(["%" + _NUMBER_SPEC] * table.shape[1]) + "\n"
+    return (row * table.shape[0]) % tuple(table.ravel().tolist())
+
+
+def _write_rows(path: str | None, header: str, blocks: Iterable[str]) -> None:
+    """Write the header line, then each block of newline-terminated rows."""
     out = sys.stdout if path is None else open(path, "w")
     try:
         out.write(header + "\n")
-        for row in rows:
-            out.write(row + "\n")
+        for block in blocks:
+            out.write(block)
     finally:
         if path is not None:
             out.close()
@@ -385,17 +398,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     sol = cfg.build()
-    rows = []
+    blocks = []
     for t in cfg.times:
         lo, hi = truncated_positions(sol, t)
         x = np.linspace(lo, hi, args.points)
+        w = density(sol, x, t)
         d1, d2 = coefficients(sol, x, t)
-        columns = (x, density(sol, x, t), current(sol, x, t), d1, d2)
-        rows.extend(
-            ",".join(map(_fmt, (t, *row)))
-            for row in zip(*(c.tolist() for c in columns))
-        )
-    _write_rows(cfg.out, "t,x,W,J,D1,D2", rows)
+        blocks.append(_csv_block((np.full_like(x, t), x, w, current(sol, x, t, w), d1, d2)))
+    _write_rows(cfg.out, "t,x,W,J,D1,D2", blocks)
     return 0
 
 
@@ -404,7 +414,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     log_rows: list[str] | None = [] if args.pde_log else None
     results = run_checks(cfg, with_sde=args.with_sde, pde_log_rows=log_rows)
     if args.pde_log:
-        _write_rows(args.pde_log, "s,mass,l1_to_stationary", log_rows)
+        _write_rows(args.pde_log, "s,mass,l1_to_stationary",
+                    ["".join(row + "\n" for row in log_rows)])
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -419,11 +430,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     sol = cfg.build()
     ens = sde.init_ensemble(sol, cfg.n_paths, cfg.times[0], cfg.seed)
     ens = sde.propagate(ens, sol, cfg.times[-1])
-    centers, empirical, analytic = sde.histogram_table(ens, sol, cfg.n_bins)
-    rows = [
-        ",".join(_fmt(v) for v in row) for row in zip(centers, empirical, analytic)
-    ]
-    _write_rows(cfg.out, "bin_center,empirical_density,analytic_density", rows)
+    block = _csv_block(sde.histogram_table(ens, sol, cfg.n_bins))
+    _write_rows(cfg.out, "bin_center,empirical_density,analytic_density", [block])
     dist = sde.histogram_distance(ens, sol, cfg.n_bins)
     print(f"paths={cfg.n_paths} reflections={ens.n_reflections} l1_distance={dist:.6f}",
           file=sys.stderr)
@@ -519,7 +527,9 @@ def _add_config_args(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument(f"--{name}", **_FLAGS[name])
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="fpmb",
         description="Exactly solvable moving-domain drift-diffusion models: "
@@ -549,8 +559,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_presets = sub.add_parser("presets", help="list shipped presets")
     p_presets.set_defaults(func=cmd_presets)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -438,11 +438,17 @@ def density(sol: SimilaritySolution, x, t: float):
     return float(out) if out.ndim == 0 else out
 
 
-def current(sol: SimilaritySolution, x, t: float):
-    """Probability current J(x, t) = (alpha / t) x W(x, t)."""
+def current(sol: SimilaritySolution, x, t: float, w=None):
+    """Probability current J(x, t) = (alpha / t) x W(x, t).
+
+    ``w``, if given, must be ``density(sol, x, t)`` for the same arguments;
+    a caller that already has W passes it so W is not evaluated twice.
+    """
     t = _check_time(t)
     x = np.asarray(x, dtype=float)
-    out = (sol.alpha / t) * x * np.asarray(density(sol, x, t))
+    if w is None:
+        w = density(sol, x, t)
+    out = (sol.alpha / t) * x * np.asarray(w)
     return float(out) if out.ndim == 0 else out
 
 

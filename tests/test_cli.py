@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import fpmb
-from fpmb import PRESETS, coefficients, current, density
+from fpmb import PRESETS, coefficients, current, density, sde
 from fpmb.cli import (
     RunConfig,
+    _csv_block,
     _fmt,
     check_fpe_residual_order,
     check_first_integral,
@@ -141,6 +142,78 @@ class TestEval:
             block = [row for row in rows if row[0] == t]
             assert float(block[0][2]) == 0.0 and float(block[-1][2]) == 0.0
             assert float(block[0][3]) == 0.0 and float(block[-1][3]) == 0.0
+
+
+class TestCsvBlock:
+    """Each time block is formatted by one call; its text must equal the
+    per-value ``_fmt`` rows."""
+
+    @staticmethod
+    def _fmt_rows(columns) -> str:
+        return "".join(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+
+    def test_matches_fmt_rows_on_edge_values(self):
+        edge = np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.7976931348623157e308,
+                         0.1, -2.5e-7, 1e22, 3.0])
+        columns = (edge, edge[::-1].copy(), np.full_like(edge, 0.4), np.arange(10.0) - 4.5)
+        block = _csv_block(columns)
+        assert block == self._fmt_rows(columns)
+        assert block.splitlines()[0] == "inf,3,0.40000000000000002,-4.5"
+        assert block.splitlines()[3] == "-0,0.10000000000000001,0.40000000000000002,-1.5"
+        assert block.splitlines()[4].startswith("4.9406564584124654e-324,1.7976931348623157e+308,")
+
+    def test_one_row_block(self):
+        columns = (np.array([2.0]), np.array([np.nan]), np.array([-0.0]))
+        assert _csv_block(columns) == "2,nan,-0\n" == self._fmt_rows(columns)
+
+    def test_sample_writes_fmt_rows_of_histogram_table(self, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        assert main(["sample", "--preset", "fig1", "--paths", "5000",
+                     "--seed", "3", "--bins", "20", "--out", str(out)]) == 0
+        cfg = load_preset_config("fig1")
+        sol = cfg.build()
+        ens = sde.init_ensemble(sol, 5000, cfg.times[0], 3)
+        ens = sde.propagate(ens, sol, cfg.times[-1])
+        expected = self._fmt_rows(sde.histogram_table(ens, sol, 20))
+        assert out.read_text() == "bin_center,empirical_density,analytic_density\n" + expected
+
+    def test_eval_stdout_equals_out_file(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert main(["eval", "--preset", "fig2", "--points", "7", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--preset", "fig2", "--points", "7"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call may leak into the next."""
+
+    def test_rejected_flag_then_valid_eval(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--preset", "fig1", "--cells", "3"])
+        assert exc.value.code == 2
+        out = tmp_path / "w.csv"
+        assert main(["eval", "--preset", "fig1", "--points", "5", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * 5
+
+    def test_points_default_restored(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert main(["eval", "--preset", "fig1", "--points", "7", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * 7
+        assert main(["eval", "--preset", "fig1", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        times = load_preset_config("fig1").times
+        assert len(rows) == 201 * len(times)
+        for t in times:
+            assert sum(row.startswith(_fmt(t) + ",") for row in rows) == 201
+
+    def test_with_sde_not_carried_over(self, capsys):
+        main(["verify", "--preset", "fig1", "--with-sde", "--paths", "1000"])
+        assert "sde_histogram_l1" in capsys.readouterr().out
+        assert main(["verify", "--preset", "fig1"]) == 0
+        out = capsys.readouterr().out
+        assert "sde_histogram_l1" not in out
+        assert out.splitlines()[-1] == "8/8 checks passed"
 
 
 def _scalar_eval_table(cfg: RunConfig, points: int) -> str:
