@@ -12,7 +12,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+_FAMILIES = {"I": ClassI, "II": ClassII, "III": ClassIII}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One run: a model, its evaluation times, and verification knobs."""
@@ -74,53 +77,55 @@ class RunConfig:
     tol_histogram: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.class_name not in ("I", "II", "III"):
+        if self.class_name not in _FAMILIES:
             raise ValueError(f"class must be I, II or III, got {self.class_name!r}")
-        if not self.times or any(t <= 0.0 for t in self.times):
-            raise ValueError("times must be a non-empty list of positive values")
-        needed = {"I": ("z1", "z2"), "II": ("z2", "beta"), "III": ("z1", "beta")}
-        for name in needed[self.class_name]:
-            if getattr(self, name) is None:
-                raise ValueError(f"class {self.class_name} requires {name}")
+        if not self.times or not all(0.0 < t < math.inf for t in self.times):
+            raise ValueError("times must be a non-empty list of finite positive values")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("tol_") and not 0.0 < value < math.inf:
+                raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+        for f in fields(_FAMILIES[self.class_name]):
+            if getattr(self, f.name) is None:
+                raise ValueError(f"class {self.class_name} requires {f.name}")
         # an inadmissible model fails here, where a config error names its file
         make_exponents(self.alpha)
         self.params()
 
     def params(self) -> SolutionClass:
-        if self.class_name == "I":
-            return ClassI(z1=self.z1, z2=self.z2, a1=self.a1, a2=self.a2)
-        if self.class_name == "II":
-            return ClassII(z2=self.z2, a1=self.a1, a2=self.a2, beta=self.beta)
-        return ClassIII(z1=self.z1, a1=self.a1, a2=self.a2, beta=self.beta)
+        family = _FAMILIES[self.class_name]
+        return family(**{f.name: getattr(self, f.name) for f in fields(family)})
 
     def build(self) -> SimilaritySolution:
         return build_solution(self.alpha, self.params())
 
 
-_KEY_TO_FIELD = {
-    "class": "class_name",
-    "alpha": "alpha",
-    "a1": "a1",
-    "a2": "a2",
-    "z1": "z1",
-    "z2": "z2",
-    "beta": "beta",
-    "times": "times",
-    "out": "out",
-    "cells": "n_cells",
-    "paths": "n_paths",
-    "seed": "seed",
-    "bins": "n_bins",
-    "tol_mass": "tol_mass",
-    "tol_identity": "tol_identity",
-    "tol_attractor": "tol_attractor",
-    "tol_histogram": "tol_histogram",
+def _times(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# config key: (RunConfig field, value parser, smallest value taken or None),
+# in field order; a flag named after a key overrides it with the same minimum
+_KEYS = {
+    "class": ("class_name", str, None),
+    "alpha": ("alpha", float, None),
+    "a1": ("a1", float, None),
+    "a2": ("a2", float, None),
+    "times": ("times", _times, None),
+    "z1": ("z1", float, None),
+    "z2": ("z2", float, None),
+    "beta": ("beta", float, None),
+    "out": ("out", str, None),
+    "cells": ("n_cells", int, 3),
+    "paths": ("n_paths", int, 1),
+    "seed": ("seed", int, 0),
+    "bins": ("n_bins", int, 10),
+    "tol_mass": ("tol_mass", float, None),
+    "tol_identity": ("tol_identity", float, None),
+    "tol_attractor": ("tol_attractor", float, None),
+    "tol_histogram": ("tol_histogram", float, None),
 }
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
-_INT_FIELDS = {"n_cells", "n_paths", "seed", "n_bins"}
-_STR_FIELDS = {"class_name", "out"}
-# smallest count the library takes, by config key (the same name as the flag)
-_MINIMUMS = {"cells": 3, "paths": 1, "bins": 10}
+_FIELD_TO_KEY = {name: key for key, (name, _, _) in _KEYS.items()}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -135,27 +140,21 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _KEY_TO_FIELD:
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        name = _KEY_TO_FIELD[key]
+        name, parse, minimum = _KEYS[key]
         if name in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            if name == "times":
-                values[name] = tuple(float(v) for v in val.split(","))
-            elif name in _INT_FIELDS:
-                values[name] = int(val)
-            elif name in _STR_FIELDS:
-                values[name] = val
-            else:
-                values[name] = float(val)
+            values[name] = parse(val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
-        if key in _MINIMUMS and values[name] < _MINIMUMS[key]:
+        if minimum is not None and values[name] < minimum:
             raise ValueError(
-                f"line {lineno}: {key!r} must be at least {_MINIMUMS[key]}, got {values[name]}"
+                f"line {lineno}: {key!r} must be at least {minimum}, got {values[name]}"
             )
-    missing = [k for k in ("class", "alpha", "a1", "a2", "times") if _KEY_TO_FIELD[k] not in values]
+    missing = [_FIELD_TO_KEY[f.name] for f in fields(RunConfig)
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise ValueError(f"missing required keys: {', '.join(missing)}")
     return RunConfig(**values)
@@ -164,14 +163,13 @@ def parse_config(text: str) -> RunConfig:
 def format_config(cfg: RunConfig) -> str:
     """Render a config so that parse_config(format_config(cfg)) == cfg."""
     lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
+    for key, (name, parse, _) in _KEYS.items():
+        value = getattr(cfg, name)
         if value is None:
             continue
-        key = _FIELD_TO_KEY[f.name]
-        if f.name == "times":
+        if parse is _times:
             rendered = ", ".join(repr(v) for v in value)
-        elif f.name in _STR_FIELDS:
+        elif parse is str:
             rendered = value
         else:
             rendered = repr(value)
@@ -199,45 +197,39 @@ class CheckResult:
     passed: bool
 
 
-def _fraction_points(lo: float, hi: float, fractions: Iterable[float]) -> list[float]:
-    return [lo + f * (hi - lo) for f in fractions]
+def _at_most(name: str, measured: float, bound: float) -> CheckResult:
+    return CheckResult(name, measured, f"<= {bound:g}", measured <= bound)
 
 
-def check_normalization(sol: SimilaritySolution, times: Sequence[float], tol: float) -> CheckResult:
-    worst = max(abs(mass(sol, t) - 1.0) for t in times)
-    return CheckResult("normalization", worst, f"<= {tol:g}", worst <= tol)
-
-
-def check_norm_agreement(sol: SimilaritySolution) -> CheckResult:
-    tol = 1e-8 if math.isinf(sol.z_hi) else 1e-10
-    rel = abs(sol.norm_A_closed - sol.norm_A_quadrature) / sol.norm_A_quadrature
-    return CheckResult("norm_constant_agreement", rel, f"<= {tol:g}", rel <= tol)
-
-
-def _identity_worst(residual_fn, sol: SimilaritySolution, n: int = 1000) -> float:
-    z = interior_points(sol, n)
-    res, scale = residual_fn(sol, z)
+def _worst_relative(res, scale) -> float:
+    """Largest |res| / scale, with the scale kept off zero."""
     return float(np.max(np.abs(res) / np.maximum(scale, 1e-300)))
 
 
+def check_normalization(sol: SimilaritySolution, times: Sequence[float], tol: float) -> CheckResult:
+    return _at_most("normalization", max(abs(mass(sol, t) - 1.0) for t in times), tol)
+
+
+def check_norm_agreement(sol: SimilaritySolution) -> CheckResult:
+    rel = abs(sol.norm_A_closed - sol.norm_A_quadrature) / sol.norm_A_quadrature
+    return _at_most("norm_constant_agreement", rel, 1e-8 if math.isinf(sol.z_hi) else 1e-10)
+
+
 def check_first_integral(sol: SimilaritySolution, tol: float) -> CheckResult:
-    worst = _identity_worst(first_integral_residual, sol)
-    return CheckResult("first_integral_identity", worst, f"<= {tol:g}", worst <= tol)
+    worst = _worst_relative(*first_integral_residual(sol, interior_points(sol, 1000)))
+    return _at_most("first_integral_identity", worst, tol)
 
 
 def check_reduced_ode(sol: SimilaritySolution, tol: float) -> CheckResult:
-    worst = _identity_worst(reduced_ode_residual, sol)
-    return CheckResult("reduced_ode_residual", worst, f"<= {tol:g}", worst <= tol)
+    worst = _worst_relative(*reduced_ode_residual(sol, interior_points(sol, 1000)))
+    return _at_most("reduced_ode_residual", worst, tol)
 
 
 def check_current_consistency(sol: SimilaritySolution, t: float, tol: float) -> CheckResult:
-    z = interior_points(sol, 1000)
-    x = z * t**sol.alpha
+    x = interior_points(sol, 1000) * t**sol.alpha
     a = np.asarray(current(sol, x, t))
     b = np.asarray(current_from_definition(sol, x, t))
-    scale = np.maximum(np.abs(a) + np.abs(b), 1e-300)
-    worst = float(np.max(np.abs(a - b) / scale))
-    return CheckResult("current_consistency", worst, f"<= {tol:g}", worst <= tol)
+    return _at_most("current_consistency", _worst_relative(a - b, np.abs(a) + np.abs(b)), tol)
 
 
 def check_fpe_residual_order(sol: SimilaritySolution, t: float) -> CheckResult:
@@ -251,7 +243,7 @@ def check_fpe_residual_order(sol: SimilaritySolution, t: float) -> CheckResult:
     h = 0.01 * width
     dt = 0.01 * t
     window = pde.probe_window(sol, t, h, dt)
-    probes = _fraction_points(window[0], window[1], (0.35, 0.62))
+    probes = [window[0] + f * (window[1] - window[0]) for f in (0.35, 0.62)]
     r1 = pde.fpe_residual_at(sol, probes, t, h, dt)
     r2 = pde.fpe_residual_at(sol, probes, t, 0.5 * h, 0.5 * dt)
     orders = [math.log2(abs(a) / abs(b)) for a, b in zip(r1, r2)]
@@ -281,11 +273,9 @@ def check_pde_attractor(
             log_rows.append(",".join(_fmt(v) for v in (s, m, l1)))
 
     final = pde.evolve(op, u0, 10.0, 0.05, on_step=record)
-    dist = pde.l1_distance(final.values, target, grid)
-    worst_drift = max(drifts)
     return (
-        CheckResult("pde_attractor_l1", dist, f"<= {tol:g}", dist <= tol),
-        CheckResult("pde_mass_drift", worst_drift, "<= 1e-12", worst_drift <= 1e-12),
+        _at_most("pde_attractor_l1", pde.l1_distance(final.values, target, grid), tol),
+        _at_most("pde_mass_drift", max(drifts), pde.MASS_DRIFT_TOL),
     )
 
 
@@ -300,8 +290,7 @@ def check_sde_histogram(
 ) -> CheckResult:
     ens = sde.init_ensemble(sol, n_paths, t0, seed)
     ens = sde.propagate(ens, sol, t1)
-    dist = sde.histogram_distance(ens, sol, n_bins)
-    return CheckResult("sde_histogram_l1", dist, f"<= {tol:g}", dist <= tol)
+    return _at_most("sde_histogram_l1", sde.histogram_distance(ens, sol, n_bins), tol)
 
 
 def run_checks(
@@ -381,17 +370,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise SystemExit(f"{args.config}: {exc}") from None
     else:
         raise SystemExit("one of --preset or --config is required")
-    overrides = {}
-    for attr, name in (
-        ("out", "out"),
-        ("seed", "seed"),
-        ("cells", "n_cells"),
-        ("paths", "n_paths"),
-        ("bins", "n_bins"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {_KEYS[key][0]: value for key in _FLAGS
+                 if key in _KEYS and (value := getattr(args, key, None)) is not None}
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -505,18 +485,21 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _count_flag(key: str, what: str) -> dict:
+    """Options of the flag that overrides config key ``key``, with its minimum."""
+    minimum = _KEYS[key][2]
+    return dict(type=_int_at_least(minimum), help=f"{what} override (minimum {minimum})")
+
+
 # optional flags by name; each subcommand takes only the ones it reads
 _FLAGS = {
     "out": dict(help="output path (default: stdout)"),
     "points": dict(type=_int_at_least(2), default=201,
                    help="x samples per time, endpoints included (default 201, minimum 2)"),
-    "seed": dict(type=int, help="RNG seed override"),
-    "paths": dict(type=_int_at_least(_MINIMUMS["paths"]),
-                  help=f"Monte Carlo path count override (minimum {_MINIMUMS['paths']})"),
-    "bins": dict(type=_int_at_least(_MINIMUMS["bins"]),
-                 help=f"histogram bin count override (minimum {_MINIMUMS['bins']})"),
-    "cells": dict(type=_int_at_least(_MINIMUMS["cells"]),
-                  help=f"PDE grid cells override (minimum {_MINIMUMS['cells']})"),
+    "seed": _count_flag("seed", "RNG seed"),
+    "paths": _count_flag("paths", "Monte Carlo path count"),
+    "bins": _count_flag("bins", "histogram bin count"),
+    "cells": _count_flag("cells", "PDE grid cells"),
 }
 
 

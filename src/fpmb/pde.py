@@ -63,6 +63,7 @@ __all__ = [
     "fpe_residual_at",
     "probe_window",
     "residual_original_coordinates",
+    "MASS_DRIFT_TOL",
 ]
 
 
@@ -207,7 +208,9 @@ def transformed_operator(sol: SimilaritySolution, grid: ZGrid) -> DiscreteOperat
     return DiscreteOperator(grid=grid, coeff_right=coeff_right, coeff_left=coeff_left)
 
 
-_MASS_DRIFT_TOL = 1e-12
+# largest relative mass change one implicit step may make; also the bound of
+# the pde_mass_drift check
+MASS_DRIFT_TOL = 1e-12
 
 
 def splu(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> SimpleNamespace:
@@ -293,15 +296,15 @@ def evolve(
             mass_after = v.sum() * h
             for _pass in range(3):
                 drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
-                if drift <= 0.1 * _MASS_DRIFT_TOL:
+                if drift <= 0.1 * MASS_DRIFT_TOL:
                     break
                 v = v + lu.solve(residual(u, v))
                 mass_after = v.sum() * h
             else:
                 drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
-            if drift > _MASS_DRIFT_TOL:
+            if drift > MASS_DRIFT_TOL:
                 raise RuntimeError(
-                    f"mass drift {drift:.3e} exceeds {_MASS_DRIFT_TOL} in one step"
+                    f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL} in one step"
                 )
             if v.min() < -1e-12 * max(v.max(), 1e-300):
                 raise RuntimeError("positivity violated; the operator is misconfigured")
@@ -313,18 +316,18 @@ def evolve(
     return FieldOnGrid(values=u, time_s=s_end)
 
 
-def stationary_field(sol: SimilaritySolution, grid: ZGrid, *, time_s: float = 0.0) -> FieldOnGrid:
+def stationary_field(sol: SimilaritySolution, grid: ZGrid) -> FieldOnGrid:
     """Analytic reduced density sampled at cell centers."""
-    return FieldOnGrid(values=reduced_density(sol, grid.centers), time_s=time_s)
+    return FieldOnGrid(values=reduced_density(sol, grid.centers), time_s=0.0)
 
 
-def uniform_field(grid: ZGrid, *, time_s: float = 0.0) -> FieldOnGrid:
+def uniform_field(grid: ZGrid) -> FieldOnGrid:
     """Unit-mass uniform initial condition."""
     values = np.full(grid.n_cells, 1.0 / (grid.z_hi - grid.z_lo))
-    return FieldOnGrid(values=values, time_s=time_s)
+    return FieldOnGrid(values=values, time_s=0.0)
 
 
-def triangle_field(grid: ZGrid, *, peak: str = "left", time_s: float = 0.0) -> FieldOnGrid:
+def triangle_field(grid: ZGrid, *, peak: str = "left") -> FieldOnGrid:
     """Unit-mass triangular initial condition peaked at one end."""
     x = (grid.centers - grid.z_lo) / (grid.z_hi - grid.z_lo)
     if peak == "left":
@@ -334,7 +337,7 @@ def triangle_field(grid: ZGrid, *, peak: str = "left", time_s: float = 0.0) -> F
     else:
         raise ValueError(f"peak must be 'left' or 'right', got {peak!r}")
     values = values / (values.sum() * grid.h)
-    return FieldOnGrid(values=values, time_s=time_s)
+    return FieldOnGrid(values=values, time_s=0.0)
 
 
 def l1_distance(a: np.ndarray, b: np.ndarray, grid: ZGrid) -> float:
@@ -385,17 +388,15 @@ def residual_original_coordinates(
     x_grid_step: float,
     t: float,
     dt: float,
-    *,
-    n_points: int = 41,
 ) -> float:
     """Max-norm of the discrete forward-equation residual on an interior grid.
 
-    The evaluation points are fixed fractions of the interior window, so
+    The 41 evaluation points are fixed fractions of the interior window, so
     halving (x_grid_step, dt) together measures the stencil's convergence
     order without sampling jitter.
     """
     if x_grid_step <= 0.0 or dt <= 0.0:
         raise ValueError("steps must be positive")
     lo, hi = probe_window(sol, t, x_grid_step, dt)
-    xs = np.linspace(lo, hi, n_points)
+    xs = np.linspace(lo, hi, 41)
     return float(np.max(np.abs(fpe_residual_at(sol, xs, t, x_grid_step, dt))))

@@ -73,9 +73,17 @@ __all__ = [
 ]
 
 
-def _check_positive_exponents(a1: float, a2: float) -> None:
-    if not (a1 > 0.0 and a2 > 0.0):
-        raise ValueError(f"endpoint exponents must be positive, got a1={a1!r}, a2={a2!r}")
+def _check_params(params) -> None:
+    """Checks every family shares: each parameter is finite (the error names
+    the first that is not), and both endpoint exponents are positive."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+    if not (params.a1 > 0.0 and params.a2 > 0.0):
+        raise ValueError(
+            f"endpoint exponents must be positive, got a1={params.a1!r}, a2={params.a2!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,7 @@ class ClassI:
     a2: float
 
     def __post_init__(self) -> None:
-        _check_positive_exponents(self.a1, self.a2)
+        _check_params(self)
         if not self.z1 < self.z2:
             raise ValueError(f"need z1 < z2, got z1={self.z1!r}, z2={self.z2!r}")
 
@@ -120,11 +128,9 @@ class ClassII:
     beta: float
 
     def __post_init__(self) -> None:
-        _check_positive_exponents(self.a1, self.a2)
+        _check_params(self)
         if not self.z2 > 0.0:
             raise ValueError(f"need z2 > 0, got {self.z2!r}")
-        if not math.isfinite(self.beta):
-            raise ValueError("beta must be finite")
 
     def linear_factors(self):
         """Pearson form: (factors, rate, z_lo, z_hi) of z^a1 (z2 - z)^a2 e^(beta z)."""
@@ -146,7 +152,7 @@ class ClassIII:
     beta: float
 
     def __post_init__(self) -> None:
-        _check_positive_exponents(self.a1, self.a2)
+        _check_params(self)
         if self.z1 < 0.0:
             raise ValueError(f"need z1 >= 0, got {self.z1!r}")
         if not self.beta > 0.0:
@@ -209,6 +215,7 @@ class SimilaritySolution:
 
 
 _NORM_RTOL = 1e-12
+_MASS_RTOL = 1e-11
 # analytic mass beyond the cut of a half line (see ``effective_upper``)
 TAIL_MASS = 1e-9
 _BUILD_AGREEMENT_GUARD = 1e-6
@@ -521,7 +528,7 @@ def moment(sol: SimilaritySolution, k: int, t: float) -> float:
     return t ** (int(k) * sol.alpha) * sol.norm_A * res.value
 
 
-def mass(sol: SimilaritySolution, t: float, *, rtol: float = 1e-11) -> float:
+def mass(sol: SimilaritySolution, t: float) -> float:
     """Integral of W(., t) over the instantaneous domain (should be 1).
 
     Deliberately integrates in the physical coordinate so the time
@@ -535,7 +542,7 @@ def mass(sol: SimilaritySolution, t: float, *, rtol: float = 1e-11) -> float:
     def w_of_x(x):
         return density(sol, x, t)
 
-    res = _domain_quadrature(sol, w_of_x, t**sol.alpha, 0, rtol)
+    res = _domain_quadrature(sol, w_of_x, t**sol.alpha, 0, _MASS_RTOL)
     if not res.converged:
         raise RuntimeError(f"mass quadrature failed: error {res.abs_error_estimate:.3e}")
     return res.value

@@ -14,6 +14,8 @@ from fpmb.cli import (
     RunConfig,
     _csv_block,
     _fmt,
+    _load_config,
+    _parser,
     check_fpe_residual_order,
     check_first_integral,
     format_config,
@@ -118,6 +120,107 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig(class_name="I", alpha=1.0, a1=1.0, a2=1.0, times=(0.0,),
                       z1=0.0, z2=1.0)
+
+
+_FIG1_TEXT = TestConfig._FIG1_TEXT
+_FIG5_TEXT = "class = III\nalpha = 1.0\nz1 = 0.5\na1 = 1.0\na2 = 1.0\nbeta = 1.0\ntimes = 0.3\n"
+
+
+def _with(text: str, **edits: str) -> str:
+    """A config text with some values replaced and new keys appended."""
+    keys = dict(line.split(" = ") for line in text.splitlines())
+    keys.update(edits)
+    return "".join(f"{k} = {v}\n" for k, v in keys.items())
+
+
+def _config_exit(tmp_path: Path, text: str, *flags: str) -> str:
+    """The message `fpmb verify --config` exits with on a bad config."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(path), *flags])
+    assert isinstance(exc.value.code, str)
+    assert exc.value.code.startswith(f"{path}: ")
+    assert "\n" not in exc.value.code
+    return exc.value.code[len(f"{path}: "):]
+
+
+class TestBadValues:
+    """Values that parse but cannot be run are refused before any check runs,
+    with the key named, not met later as a traceback or a silent FAIL."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sample", "--seed", "-1"], id="sample"),
+        pytest.param(["verify", "--with-sde", "--seed", "-1"], id="verify"),
+    ])
+    def test_negative_seed_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--preset", "fig1", *argv[1:]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_in_config(self, tmp_path, capsys):
+        text = _with(_FIG1_TEXT, seed="-5")
+        message = "line 8: 'seed' must be at least 0, got -5"
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+        assert _config_exit(tmp_path, text, "--with-sde") == message
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("times", ["0.3, nan", "0.3, inf", "nan"])
+    def test_non_finite_times(self, times, tmp_path, capsys):
+        text = _with(_FIG1_TEXT, times=times)
+        with pytest.raises(ValueError, match="times must be a non-empty list of finite positive"):
+            parse_config(text)
+        assert _config_exit(tmp_path, text).startswith("times must be")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("key", ["tol_mass", "tol_identity", "tol_attractor", "tol_histogram"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-8", "0.0"])
+    def test_tolerances_finite_and_positive(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+            parse_config(_with(_FIG1_TEXT, **{key: value}))
+
+    def test_nan_tol_mass_exits_naming_the_key(self, tmp_path, capsys):
+        message = _config_exit(tmp_path, _with(_FIG1_TEXT, tol_mass="nan"))
+        assert message == "tol_mass must be finite and positive, got nan"
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text, name", [
+        pytest.param(_with(_FIG5_TEXT, beta="inf"), "beta", id="III-beta"),
+        pytest.param(_with(_FIG5_TEXT, z1="inf"), "z1", id="III-z1"),
+        pytest.param(_with(_FIG1_TEXT, z2="inf"), "z2", id="I-z2"),
+        pytest.param(_with(_FIG1_TEXT, a1="inf"), "a1", id="I-a1"),
+        pytest.param("class = II\nalpha = 1.0\nz2 = inf\na1 = 1.0\na2 = 1.0\nbeta = 0.5\n"
+                     "times = 0.3\n", "z2", id="II-z2"),
+    ])
+    def test_non_finite_family_parameter(self, text, name, tmp_path, capsys):
+        assert _config_exit(tmp_path, text) == f"{name} must be finite, got inf"
+        assert capsys.readouterr().out == ""
+
+
+class TestFlagsMatchConfigKeys:
+    """A count flag and its config key refuse the same values: one below the
+    minimum is refused by both, the minimum itself is taken by both."""
+
+    @pytest.mark.parametrize("key, field, minimum", [
+        ("seed", "seed", 0), ("paths", "n_paths", 1), ("bins", "n_bins", 10), ("cells", "n_cells", 3),
+    ])
+    def test_same_minimum(self, key, field, minimum, capsys):
+        with pytest.raises(ValueError, match=f"line 1: '{key}' must be at least {minimum}"):
+            parse_config(f"{key} = {minimum - 1}\n{_FIG1_TEXT}")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--preset", "fig1", f"--{key}", str(minimum - 1)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--{key}" in captured.err
+        assert captured.out == ""
+
+        assert getattr(parse_config(f"{key} = {minimum}\n{_FIG1_TEXT}"), field) == minimum
+        args = _parser().parse_args(["verify", "--preset", "fig1", f"--{key}", str(minimum)])
+        assert getattr(_load_config(args), field) == minimum
 
 
 class TestEval:

@@ -63,6 +63,20 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             ClassIII(z1=0.5, a1=1.0, a2=1.0, beta=0.0)
 
+    @pytest.mark.parametrize("family, params, name", [
+        pytest.param(ClassIII, dict(z1=0.5, a1=1.0, a2=1.0, beta=math.inf), "beta", id="III-beta"),
+        pytest.param(ClassIII, dict(z1=math.inf, a1=1.0, a2=1.0, beta=1.0), "z1", id="III-z1"),
+        pytest.param(ClassIII, dict(z1=0.5, a1=-math.inf, a2=1.0, beta=1.0), "a1", id="III-a1"),
+        pytest.param(ClassI, dict(z1=1.0, z2=math.inf, a1=1.0, a2=1.0), "z2", id="I-z2"),
+        pytest.param(ClassI, dict(z1=1.0, z2=4.0, a1=math.inf, a2=1.0), "a1", id="I-a1"),
+        pytest.param(ClassI, dict(z1=math.nan, z2=4.0, a1=1.0, a2=1.0), "z1", id="I-z1-nan"),
+        pytest.param(ClassII, dict(z2=math.inf, a1=1.0, a2=1.0, beta=0.5), "z2", id="II-z2"),
+        pytest.param(ClassII, dict(z2=2.0, a1=1.0, a2=math.nan, beta=0.5), "a2", id="II-a2-nan"),
+    ])
+    def test_non_finite_parameter_is_named(self, family, params, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {params[name]!r}$"):
+            family(**params)
+
     def test_subclass_labels(self):
         assert ClassI(z1=1.0, z2=4.0, a1=1.0, a2=1.0).subclass == "i"
         assert ClassI(z1=-4.0, z2=-1.0, a1=1.0, a2=1.0).subclass == "i"
