@@ -85,6 +85,10 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.name.startswith("tol_") and not 0.0 < value < math.inf:
                 raise ValueError(f"{f.name} must be finite and positive, got {value!r}")
+        for key, (name, _, minimum) in _KEYS.items():
+            value = getattr(self, name)
+            if minimum is not None and value < minimum:
+                raise ValueError(f"{key!r} must be at least {minimum}, got {value!r}")
         for f in fields(_FAMILIES[self.class_name]):
             if getattr(self, f.name) is None:
                 raise ValueError(f"class {self.class_name} requires {f.name}")

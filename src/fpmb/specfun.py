@@ -185,20 +185,35 @@ _WG = np.concatenate([_G_WEIGHTS_POS[:-1], _G_WEIGHTS_POS[::-1]])
 _DEFAULT_MAX_PANELS = 4000
 
 
-def _gk15(g: Callable, lo: float, hi: float) -> tuple[float, float]:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    fx = np.asarray(g(mid + half * _XGK), dtype=float)
-    if fx.shape != (15,):
-        raise ValueError("integrand must map a length-15 array to a length-15 array")
-    kron = half * float(fx @ _WGK)
-    gauss = half * float(fx[_G_IDX] @ _WG)
-    return kron, abs(kron - gauss)
+def _gk15(g: Callable, *edges: float) -> list[tuple[float, float]]:
+    """(Kronrod value, |Kronrod - Gauss|) of each panel between consecutive ``edges``.
+
+    All panels' nodes go to ``g`` in one call; each panel's sums are its own
+    1-D dot products, which round as a lone panel's do.
+    """
+    panels = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
+    nodes = np.concatenate([mid + half * _XGK for mid, half in panels])
+    fx = np.asarray(g(nodes), dtype=float)
+    if fx.shape != nodes.shape:
+        raise ValueError(
+            f"integrand must map a length-{nodes.size} array to a length-{nodes.size} array"
+        )
+    out = []
+    for (_, half), f in zip(panels, fx.reshape(-1, 15)):
+        kron = half * float(f @ _WGK)
+        gauss = half * float(f[_G_IDX] @ _WG)
+        out.append((kron, abs(kron - gauss)))
+    return out
 
 
 def _adapt(g: Callable, lo: float, hi: float, tol: float, rtol: float,
            max_panels: int) -> QuadratureResult:
-    value, err = _gk15(g, lo, hi)
+    """Greedy global subdivision (QUADPACK's QAG rule) of GK15 panels.
+
+    The panel with the largest error estimate is halved, and both halves
+    are evaluated in one call of ``g``.
+    """
+    [(value, err)] = _gk15(g, lo, hi)
     panels = [(-err, lo, hi, value, err)]
     total = value
     total_err = err
@@ -207,8 +222,7 @@ def _adapt(g: Callable, lo: float, hi: float, tol: float, rtol: float,
     while total_err > max(tol, rtol * abs(total)) and n_panels < max_panels:
         _, a, b, v, e = heapq.heappop(panels)
         m = 0.5 * (a + b)
-        v1, e1 = _gk15(g, a, m)
-        v2, e2 = _gk15(g, m, b)
+        (v1, e1), (v2, e2) = _gk15(g, a, m, b)
         evals += 30
         total += (v1 + v2) - v
         total_err += (e1 + e2) - e

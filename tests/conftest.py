@@ -1,10 +1,11 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 from fpmb import PRESETS, ClassI, ClassII, ClassIII, build_solution, preset_solution
-from fpmb.specfun import kummer_1f1, ln_beta, ln_gamma, whittaker_w
+from fpmb.specfun import QuadratureResult, kummer_1f1, ln_beta, ln_gamma, whittaker_w
 
 
 @pytest.fixture(scope="session")
@@ -88,3 +89,122 @@ def _reference_closed_norm(params):
 def reference_closed_norm():
     """Per-family closed-form normalizations, independent of the Pearson-form reader."""
     return _reference_closed_norm
+
+
+def _reference_evolve(op, u0, s_end, ds, *, on_step=None):
+    """Implicit Euler one step at a time, refining each step on its own.
+
+    The plain loop that ``pde.evolve`` does in blocks: the same plan, the
+    same factorization through ``pde.splu`` and the same refinement, so its
+    steps, masses, errors and solves are the ones ``evolve`` must reproduce.
+    """
+    from fpmb import pde
+
+    u = np.asarray(u0.values, dtype=float).copy()
+    s = u0.time_s
+    remaining = s_end - s
+    n_full = int(math.floor(remaining / ds + 1e-12))
+    tail = remaining - n_full * ds
+    plan = [(ds, n_full)] if n_full else []
+    if tail > 1e-12 * max(1.0, abs(s_end)):
+        plan.append((tail, 1))
+    n, h = op.grid.n_cells, op.grid.h
+    cr = op.coeff_right.astype(np.longdouble)
+    cl = op.coeff_left.astype(np.longdouble)
+    mass_before = u.sum() * h
+    for step_ds, count in plan:
+        lu = pde.splu(-step_ds * op.lower[1:], 1.0 - step_ds * op.diag, -step_ds * op.upper[:-1])
+        ds_x = np.longdouble(step_ds)
+        diag_x = 1.0 + ds_x * (cl[1 : n + 1] + cr[:n])
+        lower_x = -ds_x * cl[:n]
+        upper_x = -ds_x * cr[1 : n + 1]
+
+        def residual(rhs, v):
+            vx = v.astype(np.longdouble)
+            av = diag_x * vx
+            av[:-1] += upper_x[:-1] * vx[1:]
+            av[1:] += lower_x[1:] * vx[:-1]
+            return (rhs.astype(np.longdouble) - av).astype(float)
+
+        for _ in range(count):
+            v = lu.solve(u)
+            mass_after = v.sum() * h
+            for _pass in range(3):
+                drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
+                if drift <= 0.1 * pde.MASS_DRIFT_TOL:
+                    break
+                v = v + lu.solve(residual(u, v))
+                mass_after = v.sum() * h
+            else:
+                drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
+            if drift > pde.MASS_DRIFT_TOL:
+                raise RuntimeError(
+                    f"mass drift {drift:.3e} exceeds {pde.MASS_DRIFT_TOL} in one step"
+                )
+            if v.min() < -1e-12 * max(v.max(), 1e-300):
+                raise RuntimeError("positivity violated; the operator is misconfigured")
+            u = v
+            mass_before = mass_after
+            s += step_ds
+            if on_step is not None:
+                on_step(s, mass_after, u)
+    return u
+
+
+@pytest.fixture(scope="session")
+def reference_evolve():
+    """Step-by-step implicit Euler, the oracle of the blocked ``pde.evolve``."""
+    return _reference_evolve
+
+
+def _reference_adapt(g, lo, hi, tol, rtol, max_panels):
+    """Greedy GK15 subdivision with one integrand call per panel.
+
+    The oracle of ``specfun._adapt``, which evaluates both halves of a split
+    in one call: same heap order, same accumulation order.
+    """
+    from fpmb.specfun import _G_IDX, _WG, _WGK, _XGK
+
+    def gk15(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        fx = np.asarray(g(mid + half * _XGK), dtype=float)
+        kron = half * float(fx @ _WGK)
+        return kron, abs(kron - half * float(fx[_G_IDX] @ _WG))
+
+    value, err = gk15(lo, hi)
+    panels = [(-err, lo, hi, value, err)]
+    total, total_err, evals, n_panels = value, err, 15, 1
+    while total_err > max(tol, rtol * abs(total)) and n_panels < max_panels:
+        _, a, b, v, e = heapq.heappop(panels)
+        m = 0.5 * (a + b)
+        v1, e1 = gk15(a, m)
+        v2, e2 = gk15(m, b)
+        evals += 30
+        total += (v1 + v2) - v
+        total_err += (e1 + e2) - e
+        heapq.heappush(panels, (-e1, a, m, v1, e1))
+        heapq.heappush(panels, (-e2, m, b, v2, e2))
+        n_panels += 1
+    return QuadratureResult(total, total_err, evals, total_err <= max(tol, rtol * abs(total)))
+
+
+@pytest.fixture
+def adapt_against_reference(monkeypatch):
+    """Route every ``specfun._adapt`` call through the one-call-per-panel oracle too.
+
+    Each call asserts that both give an identical ``QuadratureResult``; the
+    fixture's value is the list of results compared so far.
+    """
+    from fpmb import specfun
+
+    adapt = specfun._adapt
+    compared = []
+
+    def checked(g, lo, hi, tol, rtol, max_panels):
+        out = adapt(g, lo, hi, tol, rtol, max_panels)
+        assert out == _reference_adapt(g, lo, hi, tol, rtol, max_panels)
+        compared.append(out)
+        return out
+
+    monkeypatch.setattr(specfun, "_adapt", checked)
+    return compared

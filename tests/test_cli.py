@@ -222,6 +222,18 @@ class TestFlagsMatchConfigKeys:
         args = _parser().parse_args(["verify", "--preset", "fig1", f"--{key}", str(minimum)])
         assert getattr(_load_config(args), field) == minimum
 
+    @pytest.mark.parametrize("key, field, value, minimum", [
+        ("seed", "seed", -1, 0), ("cells", "n_cells", 2, 3),
+        ("bins", "n_bins", 5, 10), ("paths", "n_paths", 0, 1),
+    ])
+    def test_run_config_holds_the_minimum(self, key, field, value, minimum):
+        """A config built in code is held to the same minimum, naming the key,
+        before numpy or the grid can meet the value."""
+        cfg = load_preset_config("fig1")
+        with pytest.raises(ValueError, match=f"^'{key}' must be at least {minimum}, got {value}$"):
+            dataclasses.replace(cfg, **{field: value})
+        assert getattr(dataclasses.replace(cfg, **{field: minimum}), field) == minimum
+
 
 class TestEval:
     def test_csv_shape_and_determinism(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from numpy.polynomial.polynomial import polyder, polyval
 from fpmb import build_solution, ClassI, ClassII, ClassIII, reduced_density
 from fpmb.solutions import TAIL_MASS, truncated_positions
 from fpmb.pde import (
+    DiscreteOperator,
     FieldOnGrid,
     ZGrid,
     evolve,
@@ -301,3 +302,91 @@ class TestResidualOriginalCoordinates:
             fpe_residual_at(sol, 2.0, 0.5, 0.01, 0.6)
         with pytest.raises(ValueError):
             residual_original_coordinates(sol, -0.1, 0.5, 0.01)
+
+
+class TestEvolveMatchesStepByStep:
+    """``evolve`` does its step bookkeeping in blocks; its steps, masses,
+    final field, errors and solve count are those of the step-by-step oracle
+    (``reference_evolve``), to the bit."""
+
+    @staticmethod
+    def _run(fn, op, u0, s_end, ds, monkeypatch):
+        """(on_step arguments, final values or the error, solves), solves
+        counted through ``pde.splu``."""
+        from fpmb import pde
+
+        factorize = pde.splu
+        solves = []
+
+        def counting(*args):
+            lu = factorize(*args)
+            return type(lu)(solve=lambda rhs: solves.append(1) or lu.solve(rhs))
+
+        monkeypatch.setattr(pde, "splu", counting)
+        steps = []
+        try:
+            out = fn(op, u0, s_end, ds, on_step=lambda s, m, v: steps.append((s, m, v)))
+        except RuntimeError as exc:
+            out = str(exc)
+        monkeypatch.setattr(pde, "splu", factorize)
+        return steps, out, len(solves)
+
+    @staticmethod
+    def _assert_same_steps(steps, expected):
+        assert [(s, m) for s, m, _ in steps] == [(s, m) for s, m, _ in expected]
+        for (_, _, v), (_, _, w) in zip(steps, expected):
+            assert np.array_equal(v, w)
+        # each step's values are its own: no two kept arrays overlap in memory
+        spans = sorted((v.__array_interface__["data"][0], v.nbytes) for _, _, v in steps)
+        assert all(a + size <= b for (a, size), (b, _) in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("n_cells", [400, 1600])
+    @pytest.mark.parametrize("ds", [0.05, 1.0])
+    def test_same_bits(self, built_presets, name, n_cells, ds, reference_evolve, monkeypatch):
+        sol = built_presets[name]
+        grid = make_grid(sol, n_cells)
+        op = transformed_operator(sol, grid)
+        u0 = uniform_field(grid)
+        steps, final, solves = self._run(evolve, op, u0, 10.0, ds, monkeypatch)
+        expected, expected_final, expected_solves = self._run(
+            reference_evolve, op, u0, 10.0, ds, monkeypatch)
+        self._assert_same_steps(steps, expected)
+        assert np.array_equal(final.values, expected_final)
+        assert final.time_s == 10.0
+        # a refined step drops the plain solves made after it in its block,
+        # so only a run whose steps switch from plain to refined solves more
+        assert expected_solves <= solves <= 1.05 * expected_solves
+        if n_cells == 400:
+            assert solves == expected_solves
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("flipped", "positivity violated"), ("skewed", "mass drift"),
+    ])
+    def test_tampered_operator_raises_at_the_same_step(
+            self, built_presets, tamper, message, reference_evolve, monkeypatch):
+        sol = built_presets["fig1"]
+        grid = make_grid(sol, 400)
+        op = transformed_operator(sol, grid)
+        if tamper == "flipped":
+            # a sign-flipped face coefficient drives a cell negative after
+            # some dozens of steps, inside a block of plain solves
+            coeff_right = op.coeff_right.copy()
+            coeff_right[399] *= -1e-3
+            bad = DiscreteOperator(grid, coeff_right, op.coeff_left)
+        else:
+            # the double step matrix is off the extended-precision one, so
+            # refinement cannot bring the first step's drift down
+            class Skewed(DiscreteOperator):
+                @property
+                def diag(self):
+                    return super().diag * (1.0 + 1e-3 * np.linspace(0.0, 1.0, grid.n_cells))
+
+            bad = Skewed(grid, op.coeff_right, op.coeff_left)
+        u0 = uniform_field(grid)
+        steps, error, _ = self._run(evolve, bad, u0, 10.0, 0.05, monkeypatch)
+        expected, expected_error, _ = self._run(reference_evolve, bad, u0, 10.0, 0.05, monkeypatch)
+        assert error.startswith(message)
+        assert error == expected_error
+        self._assert_same_steps(steps, expected)
+        assert (len(steps) > 1) == (tamper == "flipped")

@@ -195,3 +195,49 @@ class TestIntegrateAdaptive:
             integrate_adaptive(lambda x: x, 0.0, 1.0, -1e-8)
         with pytest.raises(ValueError):
             integrate_adaptive(lambda x: x, 0.0, 1.0, 0.0)
+
+
+class TestAdaptiveMatchesPanelByPanel:
+    """``_adapt`` evaluates both halves of a split in one integrand call; every
+    result equals, to the bit, that of one call per panel (the
+    ``adapt_against_reference`` fixture compares each ``_adapt`` call)."""
+
+    @pytest.mark.parametrize("g, lo, hi, tol, kwargs", [
+        pytest.param(lambda x: x**2, 0.0, 1.0, 1e-12, {}, id="polynomial"),
+        pytest.param(lambda x: x**-0.5, 0.0, 1.0, 1e-12, {"endpoint_power": -0.5},
+                     id="endpoint-power"),
+        pytest.param(lambda x: x**-0.5, 0.0, 1.0, 1e-9, {}, id="singular-no-hint"),
+        pytest.param(lambda x: np.exp(-x) * x, 0.0, math.inf, 1e-12, {}, id="tail"),
+        pytest.param(lambda x: np.exp(-x) * x**-0.3, 0.0, math.inf, 1e-12,
+                     {"endpoint_power": -0.3}, id="endpoint-power-and-tail"),
+        pytest.param(lambda x: np.abs(x) ** -0.9, 0.0, 1.0, 1e-14, {"max_panels": 5},
+                     id="capped-unconverged"),
+        pytest.param(lambda x: np.sin(40.0 * x) ** 2, -1.0, 2.0, 0.0, {"rtol": 1e-13},
+                     id="oscillatory-rtol"),
+    ])
+    def test_test_integrands(self, g, lo, hi, tol, kwargs, adapt_against_reference):
+        res = integrate_adaptive(g, lo, hi, tol, **kwargs)
+        assert adapt_against_reference
+        if "max_panels" in kwargs:
+            assert not res.converged
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
+    def test_solution_quadratures(self, name, built_presets, adapt_against_reference):
+        from fpmb import solutions
+
+        sol = built_presets[name]
+        for t in (0.3, 1.0):
+            solutions.mass(sol, t)
+        solutions._reduced_mass(sol)
+        solutions._reduced_mass(sol, weight_power=1)
+        solutions.effective_upper.__wrapped__(sol)
+        # two halves for each of mass x2 and _reduced_mass x2, plus the
+        # tail quadratures of effective_upper on the half line
+        assert len(adapt_against_reference) >= 8
+
+    def test_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="length-15 array to a length-15 array"):
+            integrate_adaptive(lambda x: x[:-1], 0.0, 1.0, 1e-12)
+        # the first split sends both halves' 30 nodes in one call
+        with pytest.raises(ValueError, match="length-30 array to a length-30 array"):
+            integrate_adaptive(lambda x: x**-0.5 if x.size == 15 else x[:-1], 0.0, 1.0, 1e-12)
