@@ -40,10 +40,10 @@ if TYPE_CHECKING:
 
 from .solutions import (
     SimilaritySolution,
+    _log_y,
     coefficients,
     density,
     effective_upper,
-    log_y,
     reduced_density,
     rho2,
     truncated_positions,
@@ -178,14 +178,15 @@ class DiscreteOperator:
 def transformed_operator(sol: SimilaritySolution, grid: ZGrid) -> DiscreteOperator:
     """Assemble the finite-volume operator for a solution on its grid.
 
-    Face conductances use the diffusion rho2 at the face; the exponential
-    weights use the Peclet number integrated across the face's cell-center
-    interval.  The drift to diffusion ratio is -f = -(log y)', so that
-    integral is exactly log y(c_j) - log y(c_{j+1}), which stays accurate
-    where the ratio varies fast across a cell, next to the
-    degenerate-diffusion endpoints.  The two boundary faces are hard-set to
-    zero flux rather than evaluated, which matches the impenetrable-boundary
-    condition exactly and avoids 0/0 in the fitting where rho2 degenerates.
+    Face conductances use the diffusion rho2 at the face, evaluated from
+    ``sol.diffusion_coefs``; the exponential weights use the Peclet number
+    integrated across the face's cell-center interval.  The drift to
+    diffusion ratio is -f = -(log y)', so that integral is exactly
+    log y(c_j) - log y(c_{j+1}), which stays accurate where the ratio
+    varies fast across a cell, next to the degenerate-diffusion endpoints.
+    The two boundary faces are hard-set to zero flux rather than evaluated,
+    which matches the impenetrable-boundary condition exactly and avoids
+    0/0 in the fitting where rho2 degenerates.
     """
     if abs(grid.z_lo - sol.z_lo) > 1e-12 * max(1.0, abs(sol.z_lo)):
         raise ValueError("grid does not start at the domain's lower endpoint")
@@ -199,7 +200,7 @@ def transformed_operator(sol: SimilaritySolution, grid: ZGrid) -> DiscreteOperat
     if np.any(d_face <= 0.0):
         raise ValueError("diffusion profile must be positive at interior faces")
 
-    log_y_centers = log_y(sol, grid.centers)
+    log_y_centers = _log_y(sol, grid.centers)
     peclet = log_y_centers[:-1] - log_y_centers[1:]
     coeff_right = np.zeros(n + 1)
     coeff_left = np.zeros(n + 1)
@@ -260,8 +261,10 @@ def evolve(
     steps, solve little more than step by step.  Steps, masses, errors and
     the final field are those of refining step by step, to the bit.
     """
-    if ds <= 0.0:
-        raise ValueError(f"need ds > 0, got {ds!r}")
+    if not 0.0 < ds < math.inf:
+        raise ValueError(f"need a finite ds > 0, got {ds!r}")
+    if not math.isfinite(s_end):
+        raise ValueError(f"need a finite s_end, got {s_end!r}")
     if s_end < u0.time_s:
         raise ValueError("s_end lies before the initial time")
     u = np.asarray(u0.values, dtype=float).copy()
@@ -408,6 +411,9 @@ def fpe_residual_at(sol: SimilaritySolution, x, t: float, h: float, dt: float):
 
 def probe_window(sol: SimilaritySolution, t: float, h: float, dt: float) -> tuple[float, float]:
     """Interval staying strictly inside the moving domain for t-dt..t+dt."""
+    for name, value in (("h", h), ("dt", dt)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"need a finite {name} > 0, got {value!r}")
     los, his = [], []
     for tt in (t - dt, t, t + dt):
         lo, hi = truncated_positions(sol, tt)

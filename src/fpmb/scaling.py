@@ -65,10 +65,10 @@ def make_exponents(alpha: float) -> ScalingExponents:
 
 
 def similarity_variable(x, t, alpha: float):
-    """Reduced coordinate z = x / t^alpha; requires t > 0."""
+    """Reduced coordinate z = x / t^alpha; requires finite t > 0."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("similarity_variable is defined for t > 0 only")
+    if not np.all((t > 0.0) & (t < math.inf)):
+        raise ValueError(f"similarity_variable needs a finite t > 0, got t={t.tolist()!r}")
     z = np.asarray(x, dtype=float) / t**alpha
     return float(z) if z.ndim == 0 else z
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -106,6 +107,8 @@ def init_ensemble(
     """Ensemble drawn from the analytic density at t0 by inverse-CDF sampling."""
     if n_paths < 1:
         raise ValueError("need at least one path")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"need a non-negative integer seed, got {seed!r}")
     t0 = _require("t0", t0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_tab, cdf = _cdf_table(sol)

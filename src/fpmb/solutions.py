@@ -8,12 +8,13 @@ Sorensen, Scand. J. Stat. 35, 2008): the reduced density is
 with linear factors l1, l2 that are positive on the open domain (each
 finite endpoint is a root of one of them), and the diffusion profile is
 the quadratic rho2 = l1 l2.  A solution is stored as plain numbers: the
-factors, the rate b and the domain.  The shape function f = y'/y gives
-the polynomial f rho2 = a1 l1' l2 + a2 l2' l1 + b l1 l2, and the drift
-profile rho1 is *generated* from it through ``scaling.drift_from_f``,
-never written out by hand.  The residual checks below evaluate the
-generated coefficients against f pointwise, so mistranscribed or
-corrupted coefficients are detectable.
+factors, the rate b, the domain and the coefficients of both profiles.
+The shape function f = y'/y gives the polynomial
+f rho2 = a1 l1' l2 + a2 l2' l1 + b l1 l2, and the drift profile rho1 is
+*generated* from it through ``scaling.drift_from_f``, never written out by
+hand.  Both profiles are evaluated only from their coefficients, so the
+residual checks below, which hold them against f pointwise, detect a
+mistranscribed or corrupted coefficient of either.
 
 The physical density is W(x, t) = t^{-alpha} y(x / t^alpha) with y
 normalized to unit mass; domain endpoints move as z_k t^alpha.
@@ -191,9 +192,10 @@ class SimilaritySolution:
     r - z for s = -1; the first factor vanishes at z_lo.  ``drift_coefs``
     and ``diffusion_coefs`` are the coefficients of the quadratics rho1 and
     rho2 = l1 l2 in ascending powers of z, generated from the factors at
-    build time.  ``norm_A`` is the normalization in use (``norm_A_source``
-    says which route produced it); both routes are retained so their
-    agreement can be asserted independently.
+    build time; they are the only representation of the two profiles.
+    ``norm_A`` is the normalization in use (``norm_A_source`` says which
+    route produced it); both routes are retained so their agreement can be
+    asserted independently.
     """
 
     exponents: ScalingExponents
@@ -226,13 +228,17 @@ def _linear(factor: tuple[float, float, float], z):
     return z - root if orientation > 0.0 else root - z
 
 
+def _log_y(sol: SimilaritySolution, z: np.ndarray):
+    """``log_y`` at points of the open domain, where no factor vanishes."""
+    f1, f2 = sol.factors
+    out = f1[2] * np.log(_linear(f1, z)) + f2[2] * np.log(_linear(f2, z))
+    return out + sol.rate * z if sol.rate else out
+
+
 def log_y(sol: SimilaritySolution, z):
     """Unnormalized log density a1 log l1 + a2 log l2 + rate z (-inf at a root)."""
-    z = np.asarray(z, dtype=float)
-    f1, f2 = sol.factors
     with np.errstate(divide="ignore"):
-        out = f1[2] * np.log(_linear(f1, z)) + f2[2] * np.log(_linear(f2, z))
-    return out + sol.rate * z if sol.rate else out
+        return _log_y(sol, np.asarray(z, dtype=float))
 
 
 def f(sol: SimilaritySolution, z):
@@ -249,16 +255,19 @@ def f_prime(sol: SimilaritySolution, z):
     return -f1[2] / _linear(f1, z) ** 2 - f2[2] / _linear(f2, z) ** 2
 
 
-def rho2(sol: SimilaritySolution, z):
-    """Diffusion profile in factored form l1 l2: exactly zero at finite endpoints."""
-    z = np.asarray(z, dtype=float)
-    f1, f2 = sol.factors
-    return _linear(f1, z) * _linear(f2, z)
-
-
 def _quadratic(coefs: tuple[float, float, float], z):
     c0, c1, c2 = coefs
     return c0 + z * (c1 + z * c2)
+
+
+def rho2(sol: SimilaritySolution, z):
+    """Diffusion profile rho2(z), in Horner form from ``sol.diffusion_coefs``.
+
+    The one evaluator of the profile.  Where a root is rounded into the
+    constant term (Class I, c0 = -z1 z2) it can dip an ulp-sized amount
+    below zero next to a finite endpoint; ``coefficients`` clamps it there.
+    """
+    return _quadratic(sol.diffusion_coefs, np.asarray(z, dtype=float))
 
 
 def _quadratic_prime(coefs: tuple[float, float, float], z):
@@ -432,7 +441,7 @@ def reduced_density(sol: SimilaritySolution, z):
     z = np.asarray(z, dtype=float)
     inside = (z > sol.z_lo) & (z < sol.z_hi)
     z_safe = np.where(inside, z, _interior_anchor(sol))
-    out = np.where(inside, sol.norm_A * np.exp(log_y(sol, z_safe)), 0.0)
+    out = np.where(inside, sol.norm_A * np.exp(_log_y(sol, z_safe)), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -462,9 +471,9 @@ def current(sol: SimilaritySolution, x, t: float, w=None):
 def current_from_definition(sol: SimilaritySolution, x, t: float):
     """Current from its defining combination D1 W - d/dx (D2 W).
 
-    rho1 comes from ``sol.drift_coefs``, the derivatives from f and the
-    diffusion coefficients; agreement with ``current`` is a consistency
-    check, and breaks if the drift coefficients are tampered with.
+    rho1 and rho2 come from ``sol.drift_coefs`` and ``sol.diffusion_coefs``,
+    y' from f; agreement with ``current`` is a consistency check, and
+    breaks if the coefficients of either profile are tampered with.
     """
     t = _check_time(t)
     t_alpha = t**sol.alpha
@@ -472,7 +481,7 @@ def current_from_definition(sol: SimilaritySolution, x, t: float):
     z = x / t_alpha
     inside = (z > sol.z_lo) & (z < sol.z_hi)
     z_safe = np.where(inside, z, _interior_anchor(sol))
-    y = sol.norm_A * np.exp(log_y(sol, z_safe))
+    y = sol.norm_A * np.exp(_log_y(sol, z_safe))
     y_prime = f(sol, z_safe) * y
     drift = _quadratic(sol.drift_coefs, z_safe) - _quadratic_prime(sol.diffusion_coefs, z_safe)
     val = drift * y - rho2(sol, z_safe) * y_prime
@@ -484,11 +493,12 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     """Drift and diffusion coefficients (D1, D2) at (x, t); zero off-domain.
 
     Both profiles are quadratics in the reduced coordinate z = x / t^alpha,
-    so on the closed domain D1 = t^(alpha-1) rho1(z) is evaluated in Horner
-    form from ``sol.drift_coefs``: finite at every endpoint, with no
-    removable 0 * inf left to dodge.  D2 = t^(2 alpha - 1) rho2(z) comes
-    from the factored form l1 l2, which vanishes exactly at finite
-    endpoints.
+    evaluated in Horner form from ``sol.drift_coefs`` and
+    ``sol.diffusion_coefs``.  On the closed domain D1 = t^(alpha-1) rho1(z):
+    finite at every endpoint, with no removable 0 * inf left to dodge.
+    D2 = t^(2 alpha - 1) rho2(z) on the open domain, clamped at 0 against
+    the rounding of rho2 next to an endpoint, and exactly 0 at the
+    endpoints, where the profile vanishes.
     """
     t = _check_time(t)
     t_alpha = t**sol.alpha
@@ -497,7 +507,8 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     inside = (z >= sol.z_lo) & (z <= sol.z_hi)
     z_safe = np.where(inside, z, _interior_anchor(sol))
     d1 = np.where(inside, t ** (sol.alpha - 1.0) * _quadratic(sol.drift_coefs, z_safe), 0.0)
-    d2 = np.where(inside, t ** (2.0 * sol.alpha - 1.0) * rho2(sol, z_safe), 0.0)
+    rho2_z = np.maximum(rho2(sol, z_safe), 0.0)
+    d2 = np.where((z > sol.z_lo) & (z < sol.z_hi), t ** (2.0 * sol.alpha - 1.0) * rho2_z, 0.0)
     if d1.ndim == 0:
         return float(d1), float(d2)
     return d1, d2
@@ -551,7 +562,7 @@ def mass(sol: SimilaritySolution, t: float) -> float:
 def first_integral_residual(sol: SimilaritySolution, z):
     """Residual and local scale of rho2 y' + (rho2' - rho1 + alpha z) y = 0.
 
-    rho1 and rho2' come from the coefficients, y' = f y from the factors.
+    rho1, rho2 and rho2' come from the coefficients, y' = f y from the factors.
     """
     z = np.asarray(z, dtype=float)
     y = reduced_density(sol, z)
@@ -613,7 +624,7 @@ def effective_upper(sol: SimilaritySolution) -> float:
         return sol.z_hi
 
     def integrand(z):
-        return np.exp(log_y(sol, z))
+        return np.exp(_log_y(sol, z))
 
     log_target = math.log(_TAIL_TARGET / sol.norm_A)
     lo, hi = sol.z_lo, math.inf

@@ -16,8 +16,10 @@ from fpmb.cli import (
     _fmt,
     _load_config,
     _parser,
+    check_current_consistency,
     check_fpe_residual_order,
     check_first_integral,
+    check_reduced_ode,
     format_config,
     load_preset_config,
     main,
@@ -514,6 +516,25 @@ class TestVerify:
         result = check_first_integral(tampered, 1e-10)
         assert not result.passed
         assert result.measured > 1e-3
+
+    @pytest.mark.parametrize("index", [None, 0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_diffusion_change_fails_identity_checks(self, built_presets, name, index):
+        """A change of 1e-9 max|c| to any diffusion coefficient fails all
+        three identity checks; ``index=None`` is the untampered model, which
+        passes them."""
+        cfg = load_preset_config(name)
+        sol = built_presets[name]
+        if index is not None:
+            coefs = list(sol.diffusion_coefs)
+            coefs[index] += 1e-9 * max(map(abs, coefs))
+            sol = dataclasses.replace(sol, diffusion_coefs=tuple(coefs))
+        results = [
+            check_first_integral(sol, cfg.tol_identity),
+            check_reduced_ode(sol, cfg.tol_identity),
+            check_current_consistency(sol, cfg.times[len(cfg.times) // 2], cfg.tol_identity),
+        ]
+        assert [r.passed for r in results] == [index is None] * 3, results
 
     def test_residual_order_check(self, built_presets):
         res = check_fpe_residual_order(built_presets["fig1"], 0.4)

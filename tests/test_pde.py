@@ -15,6 +15,7 @@ from fpmb.pde import (
     fpe_residual_at,
     l1_distance,
     make_grid,
+    probe_window,
     residual_original_coordinates,
     stationary_field,
     transformed_operator,
@@ -224,6 +225,18 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(op, bad, 1.0, 0.1)
 
+    @pytest.mark.parametrize("name, s_end, ds", [
+        ("ds", 1.0, math.nan),
+        ("ds", 1.0, math.inf),
+        ("s_end", math.nan, 0.1),
+        ("s_end", math.inf, 0.1),
+    ])
+    def test_rejects_non_finite_time_arguments(self, built_presets, name, s_end, ds):
+        sol = built_presets["fig1"]
+        grid = make_grid(sol, 64)
+        with pytest.raises(ValueError, match=name):
+            evolve(transformed_operator(sol, grid), uniform_field(grid), s_end, ds)
+
 
 class TestEvolveMatchesDenseSolve:
     """Every implicit step against a dense LU solve of the same system.
@@ -302,6 +315,11 @@ class TestResidualOriginalCoordinates:
             fpe_residual_at(sol, 2.0, 0.5, 0.01, 0.6)
         with pytest.raises(ValueError):
             residual_original_coordinates(sol, -0.1, 0.5, 0.01)
+
+    @pytest.mark.parametrize("name, h, dt", [("h", math.nan, 0.01), ("dt", 0.01, math.nan)])
+    def test_probe_window_names_non_finite_step(self, built_presets, name, h, dt):
+        with pytest.raises(ValueError, match=f"finite {name} "):
+            probe_window(built_presets["fig1"], 0.5, h, dt)
 
 
 class TestEvolveMatchesStepByStep:

@@ -66,6 +66,11 @@ class TestSimilarityVariable:
         with pytest.raises(ValueError):
             similarity_variable(1.0, -1.0, 2.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="t="):
+            similarity_variable(1.0, t, 2.0)
+
     @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
     @pytest.mark.parametrize("x,t", [(4.0, 1.0), (1.0, 0.5), (-3.0, 2.0)])
     def test_scaling_covariance_exact(self, lam, x, t):

@@ -255,6 +255,11 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="t0"):
             init_ensemble(built_presets["fig1"], 10, t0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_init_seed(self, built_presets, seed):
+        with pytest.raises(ValueError, match="seed"):
+            init_ensemble(built_presets["fig1"], 10, 0.3, seed=seed)
+
     def test_step_size(self, built_presets):
         ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
         with pytest.raises(ValueError, match="dt"):

@@ -26,7 +26,7 @@ from fpmb import (
     reduced_density,
     reduced_ode_residual,
 )
-from fpmb.solutions import TAIL_MASS, truncated_positions
+from fpmb.solutions import TAIL_MASS, rho2, truncated_positions
 
 
 def random_params(rng, family):
@@ -199,6 +199,32 @@ class TestCoefficients:
         lo, hi = boundary_positions(sol, 1.0)
         assert coefficients(sol, lo, 1.0)[1] == 0.0
         assert coefficients(sol, hi, 1.0)[1] == 0.0
+
+    def test_diffusion_nonnegative_on_eval_grids(self):
+        """D2 >= 0 on the 201-point `fpmb eval` grids of 300 random models,
+        and exactly 0 at finite endpoints.
+
+        The models are perfbench's random_model box (seed 2026, families in
+        turn).  At model 204 (Class I), t = 0.3, the first grid point lies one
+        ulp inside z_lo, where rho2 rounds below zero and D2 is clamped.
+        """
+        rng = np.random.default_rng(2026)
+        for k in range(300):
+            alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0)
+            sol = build_solution(alpha, random_params(rng, ("I", "II", "III")[k % 3]))
+            for t in (0.3, 1.0, 3.0):
+                lo, hi = truncated_positions(sol, t)
+                x = np.linspace(lo, hi, 201)
+                d2 = coefficients(sol, x, t)[1]
+                assert np.all(d2 >= 0.0), (k, t)
+                z = x / t**sol.alpha
+                on_endpoint = (z == sol.z_lo) | (z == sol.z_hi)
+                assert np.all(d2[on_endpoint] == 0.0), (k, t)
+                if t == 1.0:  # the grid ends are the endpoints themselves
+                    assert np.count_nonzero(on_endpoint) == 1 + math.isfinite(sol.z_hi)
+                if k == 204 and t == 0.3:
+                    assert z[0] == np.nextafter(sol.z_lo, np.inf) and rho2(sol, z[0]) < 0.0
+                    assert d2[0] == 0.0
 
     def test_drift_value_inside(self, built_presets):
         d1, d2 = coefficients(built_presets["fig1"], 2.0, 1.0)
