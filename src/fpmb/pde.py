@@ -23,17 +23,22 @@ satisfy the forward equation with second-order residual decay.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-# the implicit steps use LAPACK's tridiagonal solver from scipy.linalg.lapack
-# (about 0.1 s of import), loaded on first use; scipy.sparse only for
+# the implicit steps use LAPACK's tridiagonal solver, taken from scipy's
+# _flapack extension on first use without importing scipy.linalg (see
+# ``_tridiagonal_lapack``); scipy.sparse only for
 # ``DiscreteOperator.as_matrix``.  The bare package stays imported so that
 # its version is readable from sys.modules (perfbench)
-import scipy  # noqa: F401
+import scipy
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -197,7 +202,7 @@ def transformed_operator(sol: SimilaritySolution, grid: ZGrid) -> DiscreteOperat
 
     n = grid.n_cells
     d_face = rho2(sol, grid.faces[1:-1])
-    if np.any(d_face <= 0.0):
+    if not np.all(d_face > 0.0):  # NaN fails too
         raise ValueError("diffusion profile must be positive at interior faces")
 
     log_y_centers = _log_y(sol, grid.centers)
@@ -214,17 +219,52 @@ def transformed_operator(sol: SimilaritySolution, grid: ZGrid) -> DiscreteOperat
 MASS_DRIFT_TOL = 1e-12
 
 
+def _load_flapack():
+    """scipy's ``_flapack`` extension, loaded from its file.
+
+    The module is named ``fpmb.pde._flapack``, since an extension's init
+    symbol follows the last component of its name.  Only that private name
+    enters ``sys.modules``, so scipy.linalg, imported later or not at all,
+    loads its own copy.
+    """
+    base = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.exists(base + suffix):
+            spec = importlib.util.spec_from_file_location(f"{__name__}._flapack", base + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no _flapack extension at {base}")
+
+
+@functools.cache
+def _tridiagonal_lapack():
+    """LAPACK's (dgttrf, dgttrs), from ``_load_flapack``, or from
+    scipy.linalg.lapack if that fails in any way.
+
+    Importing scipy.linalg would load its whole package, numpy.f2py
+    included, for two routines: with scipy 1.17 that is about 25 MiB of
+    resident memory, against under 3 MiB for the extension alone.
+    """
+    try:
+        flapack = _load_flapack()
+        return flapack.dgttrf, flapack.dgttrs
+    except Exception:
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        return dgttrf, dgttrs
+
+
 def splu(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> SimpleNamespace:
     """LU factorization of a tridiagonal step matrix, with ``.solve(rhs)``.
 
-    LAPACK ``dgttrf`` factors once and ``dgttrs`` solves (scipy.linalg.lapack,
-    loaded on first use).  The name is kept from the sparse LU it replaced:
-    ``evolve`` looks it up as a module global once per step size, so that
-    perfbench's tracer can rebind it to count factorizations and the solves
-    of what it returns.
+    LAPACK ``dgttrf`` factors once and ``dgttrs`` solves; both come from
+    ``_tridiagonal_lapack``, loaded on the first factorization.  The name is
+    kept from the sparse LU it replaced: ``evolve`` looks it up as a module
+    global once per step size, so that perfbench's tracer can rebind it to
+    count factorizations and the solves of what it returns.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
+    dgttrf, dgttrs = _tridiagonal_lapack()
     *factors, info = dgttrf(lower, diag, upper)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular step matrix (dgttrf info {info})")
@@ -270,7 +310,7 @@ def evolve(
     u = np.asarray(u0.values, dtype=float).copy()
     if u.shape != (op.grid.n_cells,):
         raise ValueError("field does not match the grid")
-    if np.any(u < 0.0):
+    if not np.all(u >= 0.0):  # NaN fails too
         raise ValueError("initial field must be non-negative")
 
     s = u0.time_s
@@ -333,7 +373,7 @@ def evolve(
                         drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
                         if drift <= 0.1 * MASS_DRIFT_TOL:
                             break
-                    if drift > MASS_DRIFT_TOL:
+                    if not drift <= MASS_DRIFT_TOL:  # NaN fails too
                         raise RuntimeError(
                             f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL} in one step"
                         )

@@ -104,7 +104,13 @@ def _require(name: str, value: float, *, positive: bool = True) -> float:
 def init_ensemble(
     sol: SimilaritySolution, n_paths: int, t0: float, seed: int
 ) -> PathEnsemble:
-    """Ensemble drawn from the analytic density at t0 by inverse-CDF sampling."""
+    """Ensemble drawn from the analytic density at t0 by inverse-CDF sampling.
+
+    The uniforms are drawn and mapped ``CHUNK_PATHS`` at a time, so memory
+    peaks at one ensemble plus one chunk.  The generator hands out its
+    stream in order, so the positions are those of one full-size draw, to
+    the bit.
+    """
     if n_paths < 1:
         raise ValueError("need at least one path")
     if not isinstance(seed, numbers.Integral) or seed < 0:
@@ -112,10 +118,13 @@ def init_ensemble(
     t0 = _require("t0", t0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_tab, cdf = _cdf_table(sol)
-    u = rng.uniform(size=n_paths)
-    z = np.interp(u, cdf, z_tab)
+    z = np.empty(n_paths)
+    for start in range(0, n_paths, CHUNK_PATHS):
+        chunk = z[start : start + CHUNK_PATHS]
+        chunk[:] = np.interp(rng.uniform(size=chunk.size), cdf, z_tab)
+    z *= t0**sol.alpha
     return PathEnsemble(
-        positions=z * t0**sol.alpha,
+        positions=z,
         t=t0,
         n_reflections=0,
         seed=int(seed),
@@ -181,14 +190,18 @@ def _advance(
             # noise is spent: z + (rho1 - alpha z) ds goes into it
             np.add(_horner(z, d0 * ds, 1.0 + d1 * ds, d2 * ds, noise), work, out=z)
         # each path is mirrored at most once: an image beyond the other
-        # endpoint means the step crossed both
-        if z.min() < z_lo:
+        # endpoint means the step crossed both.  Both tests fail on NaN, and
+        # a NaN position makes the minimum NaN
+        z_min = z.min()
+        if not z_min >= z_lo:
+            if math.isnan(z_min):
+                raise RuntimeError(f"a path position became NaN in a step of log-time ds={ds!r}")
             np.less(z, z_lo, out=mask)
             reflections += int(np.count_nonzero(mask))
             np.subtract(2.0 * z_lo, z, out=z, where=mask)
             if np.max(z, where=mask, initial=-math.inf) > z_hi:
                 raise _crossed_both(ds)
-        if z.max() > z_hi:
+        if not z.max() <= z_hi:
             np.greater(z, z_hi, out=mask)
             reflections += int(np.count_nonzero(mask))
             np.subtract(2.0 * z_hi, z, out=z, where=mask)

@@ -405,8 +405,12 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
         )
     norm_quad = 1.0 / quad.value
     norm_closed = _closed_form_norm(shape)
+    if not math.isfinite(norm_closed):
+        raise ValueError(
+            f"closed-form normalization of {params!r} is not finite: {norm_closed!r}"
+        )
     rel = abs(norm_closed - norm_quad) / norm_quad
-    if rel > _BUILD_AGREEMENT_GUARD:
+    if not rel <= _BUILD_AGREEMENT_GUARD:  # NaN fails too
         raise RuntimeError(
             f"normalization routes disagree for {params!r}: closed {norm_closed!r} "
             f"vs quadrature {norm_quad!r} (rel {rel:.3e})"

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 import fpmb
-from fpmb import PRESETS, coefficients, current, density, sde
+from fpmb import PRESETS, coefficients, current, density, pde, sde
 from fpmb.cli import (
     RunConfig,
     _csv_block,
@@ -19,6 +20,7 @@ from fpmb.cli import (
     check_current_consistency,
     check_fpe_residual_order,
     check_first_integral,
+    check_pde_attractor,
     check_reduced_ode,
     format_config,
     load_preset_config,
@@ -489,6 +491,86 @@ def test_subcommands_never_load_scipy_special(tmp_path):
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
+_NO_LINALG_SCRIPT = """
+import sys
+import fpmb.cli as cli
+out = sys.argv[1]
+codes = [
+    cli.main(["verify", "--preset", f"fig{n}", "--cells", cells])
+    for n in range(1, 6) for cells in ("400", "1600")
+]
+codes += [
+    cli.main(["verify", "--preset", "fig1", "--with-sde"]),
+    cli.main(["eval", "--preset", "fig5", "--out", out + "/eval.csv"]),
+    cli.main(["sample", "--preset", "fig5", "--paths", "2000", "--out", out + "/hist.csv"]),
+]
+print(sum(codes), "scipy.linalg" in sys.modules)
+"""
+
+_LINALG_BETWEEN_SCRIPT = """
+import sys
+import fpmb.cli as cli
+from fpmb import pde
+
+def solve():
+    rows = []
+    results = cli.run_checks(cli.load_preset_config("fig3"), pde_log_rows=rows)
+    return [(r.name, r.measured.hex()) for r in results], rows
+
+before = solve()
+import scipy.linalg.lapack
+after = solve()
+print(before == after, pde._tridiagonal_lapack()[0] is scipy.linalg.lapack.dgttrf)
+"""
+
+
+class TestLapackLoader:
+    """``pde.splu`` takes dgttrf/dgttrs from scipy's _flapack extension,
+    loaded from its file: importing scipy.linalg would cost a quarter second
+    and some 27 MiB for two routines."""
+
+    @staticmethod
+    def _run(script, *args):
+        src = str(Path(fpmb.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_subcommands_never_load_scipy_linalg(self, tmp_path):
+        assert self._run(_NO_LINALG_SCRIPT, tmp_path) == "0 False"
+
+    def test_importing_scipy_linalg_between_solves_changes_nothing(self):
+        """The private copy keeps working next to scipy.linalg's own."""
+        assert self._run(_LINALG_BETWEEN_SCRIPT) == "True False"
+
+    @pytest.fixture
+    def fresh_loader(self):
+        pde._tridiagonal_lapack.cache_clear()
+        yield
+        pde._tridiagonal_lapack.cache_clear()
+
+    def test_public_fallback_gives_the_same_checks(self, built_presets, fresh_loader,
+                                                    monkeypatch):
+        def attractor_hex():
+            return {name: [(r.measured.hex(), r.threshold, r.passed)
+                           for r in check_pde_attractor(sol, 400, 1e-3)]
+                    for name, sol in built_presets.items()}
+
+        private = attractor_hex()
+        assert pde._tridiagonal_lapack()[0] is not scipy.linalg.lapack.dgttrf
+
+        def unavailable():
+            raise ImportError("no _flapack")
+
+        monkeypatch.setattr(pde, "_load_flapack", unavailable)
+        pde._tridiagonal_lapack.cache_clear()
+        assert attractor_hex() == private
+        assert pde._tridiagonal_lapack() == (scipy.linalg.lapack.dgttrf,
+                                             scipy.linalg.lapack.dgttrs)
 
 
 class TestVerify:

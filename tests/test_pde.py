@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,12 @@ class TestOperator:
                 y = stationary_field(sol, grid).values
                 l1 = float(np.abs(op.apply(y)).sum() * grid.h)
                 assert l1 <= 1e-2 * grid.h**2
+
+    def test_nan_diffusion_rejected(self, built_presets):
+        sol = built_presets["fig1"]
+        tampered = dataclasses.replace(sol, diffusion_coefs=(math.nan,) + sol.diffusion_coefs[1:])
+        with pytest.raises(ValueError, match="diffusion profile must be positive"):
+            transformed_operator(tampered, make_grid(sol, 64))
 
     def test_grid_domain_mismatch_rejected(self, built_presets):
         sol = built_presets["fig1"]
@@ -224,6 +231,24 @@ class TestEvolve:
         bad = FieldOnGrid(-uniform_field(grid).values, 0.0)
         with pytest.raises(ValueError):
             evolve(op, bad, 1.0, 0.1)
+
+    def test_nan_initial_field_rejected(self, built_presets):
+        sol = built_presets["fig1"]
+        grid = make_grid(sol, 64)
+        values = uniform_field(grid).values.copy()
+        values[5] = math.nan
+        with pytest.raises(ValueError, match="non-negative"):
+            evolve(transformed_operator(sol, grid), FieldOnGrid(values, 0.0), 1.0, 0.1)
+
+    def test_nan_operator_fails_the_mass_drift_test(self, built_presets):
+        sol = built_presets["fig1"]
+        grid = make_grid(sol, 64)
+        op = transformed_operator(sol, grid)
+        coeff_right = op.coeff_right.copy()
+        coeff_right[10] = math.nan
+        with pytest.raises(RuntimeError, match="mass drift nan"):
+            evolve(DiscreteOperator(grid, coeff_right, op.coeff_left),
+                   uniform_field(grid), 1.0, 0.1)
 
     @pytest.mark.parametrize("name, s_end, ds", [
         ("ds", 1.0, math.nan),

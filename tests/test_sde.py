@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,53 @@ class TestInit:
             init_ensemble(built_presets["fig1"], 0, 0.3, seed=1)
         with pytest.raises(ValueError):
             init_ensemble(built_presets["fig1"], 10, 0.0, seed=1)
+
+
+class TestInitChunks:
+    """``init_ensemble`` draws and maps one chunk of uniforms at a time."""
+
+    @pytest.mark.parametrize("n", [1, CHUNK_PATHS, 3 * CHUNK_PATHS + 7])
+    def test_positions_match_one_full_draw(self, built_presets, n):
+        for name in ("fig1", "fig5"):
+            sol, t0 = built_presets[name], PRESETS[name].times[0]
+            z_tab, cdf = sde._cdf_table(sol)
+            rng = np.random.default_rng(np.random.SeedSequence(5))
+            expected = np.interp(rng.uniform(size=n), cdf, z_tab) * t0**sol.alpha
+            ens = init_ensemble(sol, n, t0, seed=5)
+            assert ens.positions.tobytes() == expected.tobytes()
+            # the ensemble's generator continues from the same stream state
+            assert ens.rng.bit_generator.state == rng.bit_generator.state
+
+    @staticmethod
+    def _traced_peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_init_peak_is_one_ensemble_plus_chunks(self, built_presets):
+        sol, n = built_presets["fig1"], 10**6
+        init_ensemble(sol, 10, 0.3, seed=1)  # one-time allocations and the CDF table
+        _, peak = self._traced_peak(lambda: init_ensemble(sol, n, 0.3, seed=1))
+        assert peak <= 8 * n + 4 * 8 * CHUNK_PATHS
+
+    def test_propagate_peak_is_two_ensembles_plus_worker_buffers(self, built_presets):
+        """The input ensemble, its reduced copy, and per worker two float
+        buffers and a mask of one chunk each (counted as a third buffer)."""
+        sol, n = built_presets["fig1"], 10**6
+        propagate(init_ensemble(sol, 3 * CHUNK_PATHS, 0.3, seed=1), sol, 0.302)
+
+        def run():
+            ens = init_ensemble(sol, n, 0.3, seed=1)
+            tracemalloc.reset_peak()
+            return propagate(ens, sol, 0.302)
+
+        out, peak = self._traced_peak(run)
+        assert out.t == 0.302
+        workers = min(sde._worker_count(), -(-n // CHUNK_PATHS))
+        assert peak <= 2 * 8 * n + workers * 3 * 8 * CHUNK_PATHS
 
 
 class TestStep:
@@ -279,6 +327,16 @@ class TestNonFiniteInputs:
         ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
         with pytest.raises(ValueError, match="noise_scale"):
             step_ensemble(ens, built_presets["fig1"], 1e-3, noise_scale=math.nan)
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+    def test_nan_position_fails_the_boundary_tests(self, built_presets, noise_scale):
+        sol = built_presets["fig1"]
+        ens = init_ensemble(sol, 100, 0.3, seed=1)
+        positions = ens.positions.copy()
+        positions[57] = math.nan
+        ens = dataclasses.replace(ens, positions=positions)
+        with pytest.raises(RuntimeError, match="NaN"):
+            step_ensemble(ens, sol, 1e-3, noise_scale=noise_scale)
 
     @pytest.mark.parametrize("name, kwargs", [
         ("t_end", {"t_end": math.nan}),

@@ -123,6 +123,15 @@ class TestBuild:
         for sol in models:
             assert sol.norm_A_closed == reference_closed_norm(sol.class_params), sol.class_params
 
+    @pytest.mark.parametrize("beta", [-700.0, -800.0])
+    def test_non_finite_closed_form_names_the_parameters(self, beta):
+        """1F1 at b w = -1400 forms e^-1400 * inf; the NaN normalization it
+        gives must not build."""
+        params = ClassII(z2=2.0, a1=1.0, a2=1.0, beta=beta)
+        with pytest.raises(ValueError, match=r"not finite") as info:
+            build_solution(2.0, params)
+        assert repr(params) in str(info.value)
+
     def test_origin_edge_two_boundary_matches_fixed_origin_family(self):
         a = build_solution(2.0, ClassI(z1=0.0, z2=2.0, a1=1.5, a2=0.7))
         b = build_solution(2.0, ClassII(z2=2.0, a1=1.5, a2=0.7, beta=0.0))
