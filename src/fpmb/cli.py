@@ -195,10 +195,14 @@ def load_preset_config(name: str) -> RunConfig:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict.  A check that raised is failed, with measured
+    ``inf``, threshold ``n/a`` and the exception's message in ``error``."""
+
     name: str
     measured: float
     threshold: str
     passed: bool
+    error: str | None = None
 
 
 def _at_most(name: str, measured: float, bound: float) -> CheckResult:
@@ -297,40 +301,48 @@ def check_sde_histogram(
     return _at_most("sde_histogram_l1", sde.histogram_distance(ens, sol, n_bins), tol)
 
 
+# the errors the library raises on numerics it cannot carry out (StepSizeError
+# is a ValueError, ConvergenceError a RuntimeError)
+_CHECK_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError)
+
+
+def _reported(names: tuple[str, ...], run) -> list[CheckResult]:
+    """The results of ``run()``, or one failed result per name if it raised."""
+    try:
+        out = run()
+    except _CHECK_ERRORS as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return [CheckResult(name, math.inf, "n/a", False, error) for name in names]
+    return [out] if isinstance(out, CheckResult) else list(out)
+
+
 def run_checks(
     cfg: RunConfig,
     *,
     with_sde: bool = False,
     pde_log_rows: list[str] | None = None,
 ) -> list[CheckResult]:
-    """All verification checks for one config; failures are collected, never
-    short-circuited."""
+    """All verification checks for one config.  Failures are collected, never
+    short-circuited: a check that raises fails, and the others still run."""
     sol = cfg.build()
     t_mid = cfg.times[len(cfg.times) // 2]
-    results = [
-        check_normalization(sol, cfg.times, cfg.tol_mass),
-        check_norm_agreement(sol),
-        check_first_integral(sol, cfg.tol_identity),
-        check_reduced_ode(sol, cfg.tol_identity),
-        check_current_consistency(sol, t_mid, cfg.tol_identity),
-        check_fpe_residual_order(sol, t_mid),
+    checks = [
+        (("normalization",), lambda: check_normalization(sol, cfg.times, cfg.tol_mass)),
+        (("norm_constant_agreement",), lambda: check_norm_agreement(sol)),
+        (("first_integral_identity",), lambda: check_first_integral(sol, cfg.tol_identity)),
+        (("reduced_ode_residual",), lambda: check_reduced_ode(sol, cfg.tol_identity)),
+        (("current_consistency",),
+         lambda: check_current_consistency(sol, t_mid, cfg.tol_identity)),
+        (("fpe_residual_order",), lambda: check_fpe_residual_order(sol, t_mid)),
+        (("pde_attractor_l1", "pde_mass_drift"),
+         lambda: check_pde_attractor(sol, cfg.n_cells, cfg.tol_attractor,
+                                     log_rows=pde_log_rows)),
     ]
-    results.extend(
-        check_pde_attractor(sol, cfg.n_cells, cfg.tol_attractor, log_rows=pde_log_rows)
-    )
     if with_sde:
-        results.append(
-            check_sde_histogram(
-                sol,
-                cfg.times[0],
-                cfg.times[-1],
-                cfg.n_paths,
-                cfg.n_bins,
-                cfg.seed,
-                cfg.tol_histogram,
-            )
-        )
-    return results
+        checks.append((("sde_histogram_l1",), lambda: check_sde_histogram(
+            sol, cfg.times[0], cfg.times[-1], cfg.n_paths, cfg.n_bins, cfg.seed,
+            cfg.tol_histogram)))
+    return [r for names, run in checks for r in _reported(names, run)]
 
 
 _NUMBER_SPEC = ".17g"
@@ -403,7 +415,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name:<{width}}  measured={r.measured:.6e}  threshold {r.threshold}")
+        line = f"[{status}] {r.name:<{width}}  measured={r.measured:.6e}  threshold {r.threshold}"
+        print(line if r.error is None else f"{line}  error {r.error}")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0

@@ -15,12 +15,20 @@ where Ito's formula gives the time-homogeneous process
 
     dZ = (rho1(Z) - alpha Z) ds + sqrt(2 rho2(Z)) dB_s
 
-on the static interval [z_lo, z_hi].  Both profiles are quadratics, so an
-Euler-Maruyama step is two Horner forms over the ensemble: the variance
-2 rho2 ds, and Z plus the drift (rho1 - alpha Z) ds.  Reflection mirrors
-at the fixed endpoints.  Positions are mapped back as z t^alpha, the
-product ``boundary_positions`` forms, so every returned path lies in the
-domain at its time.
+on the static interval [z_lo, z_hi].  Both profiles are quadratics, so a
+step is two Horner forms over the ensemble: the variance 2 rho2 ds, and Z
+plus the drift (rho1 - alpha Z) ds.  The increment is that of the
+simplified weak Euler scheme (Kloeden & Platen, "Numerical Solution of
+SDEs", 1992, section 14.1): sqrt(2 rho2 ds) times a sign of +-1, one bit of
+the generator's raw stream per path, in place of a Gaussian draw.  It has
+the Gaussian's mean and variance, so the scheme keeps weak order 1, and
+every check on the paths is a check of their law.  Reflection mirrors at
+the fixed endpoints.  Near an endpoint rho2 vanishes linearly while the
+drift points inward, so a bounded increment leaves a path inside to first
+order in ds: on ``propagate``'s default grid no path reflects, and the
+mirror acts only on coarse steps.  Positions are mapped back as z t^alpha,
+the product ``boundary_positions`` forms, so every returned path lies in
+the domain at its time.
 
 The ensemble is cut into chunks of ``CHUNK_PATHS`` paths.  Each chunk gets
 its own generator from ``ens.rng.spawn`` and is advanced over the whole
@@ -107,9 +115,10 @@ def init_ensemble(
     """Ensemble drawn from the analytic density at t0 by inverse-CDF sampling.
 
     The uniforms are drawn and mapped ``CHUNK_PATHS`` at a time, so memory
-    peaks at one ensemble plus one chunk.  The generator hands out its
-    stream in order, so the positions are those of one full-size draw, to
-    the bit.
+    peaks at one ensemble plus a few chunks.  The generator hands out its
+    stream in order, and each uniform maps to its position whatever the
+    order it is looked up in, so the positions are those of one full-size
+    draw, to the bit.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -121,7 +130,11 @@ def init_ensemble(
     z = np.empty(n_paths)
     for start in range(0, n_paths, CHUNK_PATHS):
         chunk = z[start : start + CHUNK_PATHS]
-        chunk[:] = np.interp(rng.uniform(size=chunk.size), cdf, z_tab)
+        u = rng.uniform(size=chunk.size)
+        # sorted queries let np.interp start each search at the last knot
+        o = np.argsort(u)
+        u = u[o]
+        chunk[o] = np.interp(u, cdf, z_tab)
     z *= t0**sol.alpha
     return PathEnsemble(
         positions=z,
@@ -170,12 +183,15 @@ def _advance(
     ``drift`` holds the ascending coefficients of rho1(z) - alpha z and
     ``variance`` those of 2 rho2(z), or None for no noise.  Each step of
     log-time ``ds`` folds ds (and the identity, for the drift) into the
-    Horner coefficients.
+    Horner coefficients, and moves each path by sqrt(2 rho2 ds) with a sign
+    from one bit of ``rng``'s raw stream: ceil(m / 64) words per step for m
+    paths, bit k of their little-endian bytes for path k, 1 meaning +1.
     """
     d0, d1, d2 = drift
     work = np.empty_like(z)
     noise = np.empty_like(z) if variance is not None else None
     mask = np.empty(z.shape, dtype=bool)
+    n_words = -(-z.size // 64)
     reflections = 0
     for ds in log_steps:
         if variance is None:
@@ -185,8 +201,11 @@ def _advance(
             _horner(z, v0 * ds, v1 * ds, v2 * ds, work)
             np.maximum(work, 0.0, out=work)
             np.sqrt(work, out=work)
-            rng.standard_normal(out=noise)
-            work *= noise
+            raw = rng.bit_generator.random_raw(n_words).astype("<u8", copy=False)
+            np.copyto(noise, np.unpackbits(raw.view(np.uint8), count=z.size, bitorder="little"))
+            # bits minus a half carry the signs; the amplitude is >= 0
+            noise -= 0.5
+            np.copysign(work, noise, out=work)
             # noise is spent: z + (rho1 - alpha z) ds goes into it
             np.add(_horner(z, d0 * ds, 1.0 + d1 * ds, d2 * ds, noise), work, out=z)
         # each path is mirrored at most once: an image beyond the other
@@ -247,7 +266,7 @@ def _march(
 def step_ensemble(
     ens: PathEnsemble, sol: SimilaritySolution, dt: float, *, noise_scale: float = 1.0
 ) -> PathEnsemble:
-    """One Euler-Maruyama step from ``ens.t`` to ``ens.t + dt``, with reflection.
+    """One weak Euler step from ``ens.t`` to ``ens.t + dt``, with reflection.
 
     The step is taken in the reduced coordinates over ds = ln((t + dt) / t).
     Positions are taken to lie in the closed domain at ``ens.t``, as every

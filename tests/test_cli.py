@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -634,6 +635,64 @@ class TestVerify:
         assert s == pytest.approx(10.0)
         assert m == pytest.approx(1.0, abs=1e-10)
         assert l1 <= 1e-2
+
+
+class TestRaisingChecks:
+    """A check that raises fails on its own; the others still report."""
+
+    @pytest.fixture
+    def fig3_bent_profile(self, built_presets, monkeypatch):
+        """fig3 with diffusion_coefs[1] raised by 1e-2 max|c|: rho2 turns
+        negative at interior faces, so the PDE operator cannot be built."""
+        sol = built_presets["fig3"]
+        coefs = list(sol.diffusion_coefs)
+        coefs[1] += 1e-2 * max(map(abs, coefs))
+        tampered = dataclasses.replace(sol, diffusion_coefs=tuple(coefs))
+        monkeypatch.setattr(RunConfig, "build", lambda self: tampered)
+
+    def test_operator_error_fails_both_pde_checks(self, fig3_bent_profile):
+        results = run_checks(load_preset_config("fig3"))
+        assert [r.name for r in results] == [
+            "normalization", "norm_constant_agreement", "first_integral_identity",
+            "reduced_ode_residual", "current_consistency", "fpe_residual_order",
+            "pde_attractor_l1", "pde_mass_drift",
+        ]
+        raised = {r.name: r for r in results if r.error is not None}
+        assert sorted(raised) == ["pde_attractor_l1", "pde_mass_drift"]
+        for r in raised.values():
+            assert not r.passed and r.measured == math.inf and r.threshold == "n/a"
+            assert r.error == "ValueError: diffusion profile must be positive at interior faces"
+        assert all(r.error is None for r in results[:6])
+
+    def test_verify_prints_fail_lines_and_exits_one(self, fig3_bent_profile, capsys):
+        assert main(["verify", "--preset", "fig3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        drift = next(line for line in lines if "pde_mass_drift" in line)
+        assert drift.startswith("[FAIL]")
+        assert "measured=inf" in drift
+        assert drift.endswith("error ValueError: diffusion profile must be positive at interior faces")
+        assert lines[-1] == "2/8 checks passed"  # the identity checks see the change too
+
+    def test_mass_drift_violation_is_a_fail_record(self, monkeypatch):
+        """The skewed operator of test_pde: refinement cannot bring the first
+        step's drift down, so evolve raises and pde_mass_drift fails."""
+        build_operator = pde.transformed_operator
+
+        class Skewed(pde.DiscreteOperator):
+            @property
+            def diag(self):
+                return super().diag * (1.0 + 1e-3 * np.linspace(0.0, 1.0, self.grid.n_cells))
+
+        def skewed(sol, grid):
+            op = build_operator(sol, grid)
+            return Skewed(grid, op.coeff_right, op.coeff_left)
+
+        monkeypatch.setattr(pde, "transformed_operator", skewed)
+        results = {r.name: r for r in run_checks(load_preset_config("fig1"))}
+        drift = results["pde_mass_drift"]
+        assert not drift.passed and drift.measured == math.inf
+        assert drift.error.startswith("RuntimeError: mass drift")
+        assert results["normalization"].passed
 
 
 class TestInfoAndPresets:

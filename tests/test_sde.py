@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.stats import chi2
 
 from fpmb import (
     PRESETS,
@@ -17,6 +18,7 @@ from fpmb import (
     coefficients,
 )
 from fpmb import sde
+from fpmb.cli import load_preset_config
 from fpmb.solutions import truncated_positions
 from fpmb.sde import (
     CHUNK_PATHS,
@@ -114,11 +116,13 @@ class TestStep:
             assert ens.positions.max() <= hi
 
     def test_reflection_counter_monotone(self, built_presets):
-        sol = built_presets["fig2"]  # shrinking domain forces reflections
-        ens = init_ensemble(sol, 5000, 1.0, seed=6)
+        # steps of 0.15 t mirror paths at fig5's finite end (the default
+        # grid mirrors none)
+        sol = built_presets["fig5"]
+        ens = init_ensemble(sol, 5000, 0.5, seed=6)
         counts = [ens.n_reflections]
         for _ in range(40):
-            ens = step_ensemble(ens, sol, 2e-3)
+            ens = step_ensemble(ens, sol, 0.15 * ens.t)
             counts.append(ens.n_reflections)
         assert all(a <= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] > 0
@@ -179,9 +183,11 @@ class TestStep:
 
 
 def reference_step(ens, sol, dt):
-    """Euler-Maruyama step in z = x / t^alpha over ds = ln((t + dt) / t), with
-    rho1 and rho2 read per path off coefficients() and mirror reflection at
-    the static reduced endpoints."""
+    """Weak Euler step in z = x / t^alpha over ds = ln((t + dt) / t), with
+    rho1 and rho2 read per path off coefficients(), a +-1 increment per path
+    from the bits of the spawned stream (bit k of the little-endian raw words
+    for path k, 1 meaning +1), and mirror reflection at the static reduced
+    endpoints."""
     t, alpha = ens.t, sol.alpha
     t_new = t + dt
     ds = math.log(t_new / t)
@@ -189,7 +195,9 @@ def reference_step(ens, sol, dt):
     rho1 = d1 * t ** (1.0 - alpha)
     rho2 = d2 * t ** (1.0 - 2.0 * alpha)
     z = ens.positions / t**alpha
-    noise = ens.rng.spawn(1)[0].standard_normal(z.size)
+    words = ens.rng.spawn(1)[0].bit_generator.random_raw(-(-z.size // 64))
+    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    noise = 2.0 * bits.ravel()[: z.size] - 1.0
     z_new = z + (rho1 - alpha * z) * ds + np.sqrt(2.0 * np.maximum(rho2, 0.0) * ds) * noise
     below = z_new < sol.z_lo
     z_new[below] = 2.0 * sol.z_lo - z_new[below]
@@ -223,23 +231,30 @@ def equivalence_models(built_presets):
 
 class TestQuadraticStepper:
     def test_matches_reference_step(self, built_presets):
-        for sol, t0 in equivalence_models(built_presets):
+        # 100 default steps, which mirror no path, and one step of 0.15 t on
+        # fig5, which mirrors some
+        runs = [(sol, t0, 1e-3, 100) for sol, t0 in equivalence_models(built_presets)]
+        runs.append((built_presets["fig5"], 0.5, 0.075, 1))
+        for sol, t0, dt, n_steps in runs:
             ens = init_ensemble(sol, 20_000, t0, seed=12)
             ref = init_ensemble(sol, 20_000, t0, seed=12)
-            for _ in range(100):
-                ens = step_ensemble(ens, sol, 1e-3)
-                ref = reference_step(ref, sol, 1e-3)
+            for _ in range(n_steps):
+                ens = step_ensemble(ens, sol, dt)
+                ref = reference_step(ref, sol, dt)
             lo, hi = truncated_positions(sol, ens.t)
             assert ens.t == ref.t
             assert float(np.abs(ens.positions - ref.positions).max()) <= 1e-12 * (hi - lo)
             assert ens.n_reflections == ref.n_reflections
+        assert ens.n_reflections > 0
 
     def test_input_ensemble_unchanged(self, built_presets):
-        sol = built_presets["fig2"]  # shrinking domain: steps reflect paths
+        # a step of 0.15 t mirrors paths at fig5's finite end; at alpha = 0.2
+        # the boundary moves slowly enough that propagate takes that step too
+        sol = build_solution(0.2, PRESETS["fig5"].params)
         ens = init_ensemble(sol, 5000, 1.0, seed=13)
         before = ens.positions.copy()
-        stepped = step_ensemble(ens, sol, 2e-3)
-        propagated = propagate(ens, sol, 1.05)
+        stepped = step_ensemble(ens, sol, 0.15)
+        propagated = propagate(ens, sol, 1.15, dt_max=0.15)
         assert stepped.n_reflections > 0 and propagated.n_reflections > 0
         assert np.array_equal(ens.positions, before)
         assert ens.t == 1.0 and ens.n_reflections == 0
@@ -351,6 +366,19 @@ class TestNonFiniteInputs:
             propagate(ens, built_presets["fig1"], kwargs.pop("t_end"), **kwargs)
 
 
+def chi_square(ens, sol, n_bins):
+    """Pearson's X^2 of the ensemble's counts in ``histogram_table``'s bins
+    against the bin masses of ``sol``'s CDF table, over the bins with
+    N p_i >= 5 (Cochran's rule): (X^2, degrees of freedom, p-value)."""
+    edges, empirical, analytic = sde._binned_densities(ens, sol, n_bins)
+    per_density = ens.positions.size * (edges[1] - edges[0])
+    counts, expected = empirical * per_density, analytic * per_density
+    kept = expected >= 5.0
+    x2 = float(((counts[kept] - expected[kept]) ** 2 / expected[kept]).sum())
+    df = int(kept.sum()) - 1
+    return x2, df, float(chi2.sf(x2, df))
+
+
 class TestHistogram:
     def test_propagated_ensemble_matches_analytic_density(self, built_presets):
         sol = built_presets["fig1"]
@@ -398,3 +426,45 @@ class TestHistogram:
         )
         with pytest.raises(ValueError):
             histogram_distance(empty, sol, 20)
+
+
+def verify_run(name, sol, stepping=None, **kwargs):
+    """The ensemble ``verify --with-sde`` judges on preset ``name``, at its
+    default paths and seed, stepped with ``stepping`` (default ``sol``)."""
+    cfg = load_preset_config(name)
+    ens = init_ensemble(sol, cfg.n_paths, cfg.times[0], cfg.seed)
+    return propagate(ens, stepping or sol, cfg.times[-1], **kwargs)
+
+
+@pytest.fixture(scope="module")
+def verify_runs(built_presets):
+    return {name: verify_run(name, sol) for name, sol in built_presets.items()}
+
+
+class TestChiSquareJudge:
+    """Pearson's X^2 on the verify ensembles: quiet on the untampered
+    presets, loud on a changed diffusion profile or a coarse step."""
+
+    def test_default_grid_reflects_no_path(self, verify_runs):
+        assert {name: ens.n_reflections for name, ens in verify_runs.items()} == dict.fromkeys(
+            verify_runs, 0)
+
+    def test_untampered_runs_pass(self, built_presets, verify_runs):
+        for name, ens in verify_runs.items():
+            x2, df, p = chi_square(ens, built_presets[name], load_preset_config(name).n_bins)
+            assert p >= 1e-6, (name, x2, df)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig3", "fig5"])
+    def test_diffusion_change_fails(self, built_presets, name):
+        sol = built_presets[name]
+        coefs = list(sol.diffusion_coefs)
+        coefs[0] += 0.1 * max(map(abs, coefs))
+        ens = verify_run(name, sol, dataclasses.replace(sol, diffusion_coefs=tuple(coefs)))
+        x2, df, p = chi_square(ens, sol, load_preset_config(name).n_bins)
+        assert p < 1e-12, (x2, df)
+
+    def test_coarse_step_bias_fails(self, built_presets):
+        sol = built_presets["fig1"]
+        ens = verify_run("fig1", sol, dt_max=8e-3)
+        x2, df, p = chi_square(ens, sol, load_preset_config("fig1").n_bins)
+        assert p < 1e-12, (x2, df)
