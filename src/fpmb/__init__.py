@@ -40,7 +40,6 @@ from .solutions import (
 from .specfun import (
     ConvergenceError,
     QuadratureResult,
-    beta,
     integrate_adaptive,
     kummer_1f1,
     ln_gamma,
@@ -78,7 +77,6 @@ __all__ = [
     "ConvergenceError",
     "QuadratureResult",
     "ln_gamma",
-    "beta",
     "kummer_1f1",
     "tricomi_u",
     "whittaker_w",

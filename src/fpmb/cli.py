@@ -274,7 +274,7 @@ def check_pde_attractor(
     masses: list[float] = [u0.mass(grid)]
 
     def record(s: float, m: float, values: np.ndarray) -> None:
-        drifts.append(abs(m - masses[-1]))
+        drifts.append(abs(m - masses[-1]) / masses[-1])
         masses.append(m)
         if log_rows is not None:
             l1 = pde.l1_distance(values, target, grid)

@@ -15,10 +15,6 @@ to diffusion ratio (alpha z - rho1 + rho2') / rho2 is exactly -f = -y'/y,
 so the Peclet number integrated across a face is a difference of log y
 and needs no quadrature.  Evolution must conserve mass to roundoff and
 relax onto y; that is the verification.
-
-``residual_original_coordinates`` is the complementary check in physical
-coordinates: central differences applied to the analytic density must
-satisfy the forward equation with second-order residual decay.
 """
 
 from __future__ import annotations
@@ -30,18 +26,14 @@ import math
 import os
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 # the implicit steps use LAPACK's tridiagonal solver, taken from scipy's
 # _flapack extension on first use without importing scipy.linalg (see
-# ``_tridiagonal_lapack``); scipy.sparse only for
-# ``DiscreteOperator.as_matrix``.  The bare package stays imported so that
-# its version is readable from sys.modules (perfbench)
+# ``_tridiagonal_lapack``).  The bare package stays imported so that its
+# version is readable from sys.modules (perfbench)
 import scipy
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 from .solutions import (
     SimilaritySolution,
@@ -63,11 +55,9 @@ __all__ = [
     "evolve",
     "stationary_field",
     "uniform_field",
-    "triangle_field",
     "l1_distance",
     "fpe_residual_at",
     "probe_window",
-    "residual_original_coordinates",
     "MASS_DRIFT_TOL",
 ]
 
@@ -159,10 +149,8 @@ class DiscreteOperator:
         return self.coeff_right[1 : self.grid.n_cells + 1]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        out = self.diag * u
-        out[:-1] += self.upper[:-1] * u[1:]
-        out[1:] += self.lower[1:] * u[:-1]
-        return out
+        """du/ds as the difference of the face fluxes, which telescope."""
+        return np.diff(self.face_flux(u)) / self.grid.h
 
     def face_flux(self, u: np.ndarray) -> np.ndarray:
         """Numerical flux at every face (identically zero at the boundary faces)."""
@@ -170,14 +158,6 @@ class DiscreteOperator:
         flux = np.zeros(self.grid.n_cells + 1)
         flux[1:-1] = h * (self.coeff_right[1:-1] * u[1:] - self.coeff_left[1:-1] * u[:-1])
         return flux
-
-    def as_matrix(self) -> sparse.csc_matrix:
-        from scipy import sparse
-
-        n = self.grid.n_cells
-        return sparse.diags(
-            [self.lower[1:], self.diag, self.upper[:-1]], [-1, 0, 1], shape=(n, n)
-        ).tocsc()
 
 
 def transformed_operator(sol: SimilaritySolution, grid: ZGrid) -> DiscreteOperator:
@@ -286,12 +266,15 @@ def evolve(
 ) -> FieldOnGrid:
     """Implicit-Euler evolution of ``u0`` up to logarithmic time ``s_end``.
 
-    Each step solves (I - ds L) u_new = u_old, with iterative refinement
-    until the per-step mass drift sits at roundoff level; a drift beyond
-    1e-12 relative, or a negative cell value, aborts with an error since
-    both indicate a misconfigured operator.  ``on_step`` receives
-    (s, mass, values) after every step, in order, with each step's own
-    array.
+    Each step solves (I - ds L) u_new = u_old.  A step whose relative mass
+    drift exceeds ``0.1 * MASS_DRIFT_TOL`` gets one pass of iterative
+    refinement in double, its residual taken in flux form
+    (``DiscreteOperator.apply``); a drift beyond ``MASS_DRIFT_TOL`` after
+    it, or a negative cell value, aborts with an error since both indicate
+    a misconfigured operator.  The face fluxes telescope, so no column-sum
+    defect of the double assembly enters the residual's sum and no
+    extended precision is needed.  ``on_step`` receives (s, mass, values)
+    after every step, in order, with each step's own array.
 
     The steps run in blocks of plain solves whose masses and minima are
     taken in one reduction each.  A block keeps every step up to the first
@@ -325,29 +308,11 @@ def evolve(
 
     n = op.grid.n_cells
     h = op.grid.h
-    cr = op.coeff_right.astype(np.longdouble)
-    cl = op.coeff_left.astype(np.longdouble)
     lower, diag, upper = op.lower[1:], op.diag, op.upper[:-1]
     mass_before = u.sum() * h
 
     for step_ds, count in plan:
         lu = splu(-step_ds * lower, 1.0 - step_ds * diag, -step_ds * upper)
-        # refinement targets the system re-assembled from the face arrays in
-        # extended precision: the double assembly rounds the diagonal sums,
-        # leaving column-sum defects of order eps * |L| that would eat the
-        # whole mass budget for stiff steps
-        ds_x = np.longdouble(step_ds)
-        diag_x = 1.0 + ds_x * (cl[1 : n + 1] + cr[:n])
-        lower_x = -ds_x * cl[1:n]
-        upper_x = -ds_x * cr[1:n]
-
-        def residual(rhs: np.ndarray, v: np.ndarray) -> np.ndarray:
-            vx = v.astype(np.longdouble)
-            av = diag_x * vx
-            av[:-1] += upper_x * vx[1:]
-            av[1:] += lower_x * vx[:-1]
-            return (rhs.astype(np.longdouble) - av).astype(float)
-
         size, max_size = 1, max(1, _BLOCK_VALUES // n)
         while count:
             # a fresh block per run of plain solves, since on_step callers may
@@ -367,12 +332,9 @@ def evolve(
                 if refined:
                     # refine this step from its plain solve; the rows after it
                     # were solved from its unrefined value and are dropped
-                    for _pass in range(3):
-                        v += lu.solve(residual(u, v))
-                        mass_after = v.sum() * h
-                        drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
-                        if drift <= 0.1 * MASS_DRIFT_TOL:
-                            break
+                    v += lu.solve(u - v + step_ds * op.apply(v))
+                    mass_after = v.sum() * h
+                    drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
                     if not drift <= MASS_DRIFT_TOL:  # NaN fails too
                         raise RuntimeError(
                             f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL} in one step"
@@ -407,19 +369,6 @@ def stationary_field(sol: SimilaritySolution, grid: ZGrid) -> FieldOnGrid:
 def uniform_field(grid: ZGrid) -> FieldOnGrid:
     """Unit-mass uniform initial condition."""
     values = np.full(grid.n_cells, 1.0 / (grid.z_hi - grid.z_lo))
-    return FieldOnGrid(values=values, time_s=0.0)
-
-
-def triangle_field(grid: ZGrid, *, peak: str = "left") -> FieldOnGrid:
-    """Unit-mass triangular initial condition peaked at one end."""
-    x = (grid.centers - grid.z_lo) / (grid.z_hi - grid.z_lo)
-    if peak == "left":
-        values = 2.0 * (1.0 - x)
-    elif peak == "right":
-        values = 2.0 * x
-    else:
-        raise ValueError(f"peak must be 'left' or 'right', got {peak!r}")
-    values = values / (values.sum() * grid.h)
     return FieldOnGrid(values=values, time_s=0.0)
 
 
@@ -468,21 +417,3 @@ def probe_window(sol: SimilaritySolution, t: float, h: float, dt: float) -> tupl
         raise ValueError("probe steps too large for the domain at this time")
     return lo + margin, hi - margin
 
-
-def residual_original_coordinates(
-    sol: SimilaritySolution,
-    x_grid_step: float,
-    t: float,
-    dt: float,
-) -> float:
-    """Max-norm of the discrete forward-equation residual on an interior grid.
-
-    The 41 evaluation points are fixed fractions of the interior window, so
-    halving (x_grid_step, dt) together measures the stencil's convergence
-    order without sampling jitter.
-    """
-    if x_grid_step <= 0.0 or dt <= 0.0:
-        raise ValueError("steps must be positive")
-    lo, hi = probe_window(sol, t, x_grid_step, dt)
-    xs = np.linspace(lo, hi, 41)
-    return float(np.max(np.abs(fpe_residual_at(sol, xs, t, x_grid_step, dt))))

@@ -22,7 +22,6 @@ __all__ = [
     "QuadratureResult",
     "ln_gamma",
     "ln_beta",
-    "beta",
     "kummer_1f1",
     "tricomi_u",
     "whittaker_w",
@@ -47,11 +46,6 @@ def ln_beta(p: float, q: float) -> float:
     if p <= 0.0 or q <= 0.0:
         raise ValueError(f"ln_beta requires p, q > 0, got ({p!r}, {q!r})")
     return ln_gamma(p) + ln_gamma(q) - ln_gamma(p + q)
-
-
-def beta(p: float, q: float) -> float:
-    """Beta function B(p, q) = Gamma(p) Gamma(q) / Gamma(p + q)."""
-    return math.exp(ln_beta(p, q))
 
 
 _SERIES_MAX_TERMS = 100_000

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fpmb.specfun import (
-    beta,
     integrate_adaptive,
     kummer_1f1,
+    ln_beta,
     ln_gamma,
     tricomi_u,
     whittaker_w,
@@ -42,6 +42,10 @@ class TestLnGamma:
     def test_rejects_bad_arguments(self, x):
         with pytest.raises(ValueError):
             ln_gamma(x)
+
+
+def beta(p, q):
+    return math.exp(ln_beta(p, q))
 
 
 class TestBeta:
