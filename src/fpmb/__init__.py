@@ -8,9 +8,8 @@ solver, and Monte Carlo path sampling.
 """
 
 from .scaling import (
-    ScalingExponents,
+    check_alpha,
     drift_from_f,
-    make_exponents,
     similarity_variable,
 )
 from .solutions import (
@@ -48,8 +47,7 @@ from .specfun import (
 )
 
 __all__ = [
-    "ScalingExponents",
-    "make_exponents",
+    "check_alpha",
     "similarity_variable",
     "drift_from_f",
     "ClassI",

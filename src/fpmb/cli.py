@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import pde, sde
-from .scaling import make_exponents
+from .scaling import check_alpha
 from .solutions import (
     ClassI,
     ClassII,
@@ -93,7 +93,7 @@ class RunConfig:
             if getattr(self, f.name) is None:
                 raise ValueError(f"class {self.class_name} requires {f.name}")
         # an inadmissible model fails here, where a config error names its file
-        make_exponents(self.alpha)
+        check_alpha(self.alpha)
         self.params()
 
     def params(self) -> SolutionClass:

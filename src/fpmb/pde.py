@@ -4,16 +4,17 @@ Substituting W = t^{-alpha} u(z, s) with z = x / t^alpha and s = ln t turns
 the moving-boundary forward equation into a conservation law on a static
 interval,
 
-    du/ds = d/dz [ (alpha z - rho1) u + d/dz (rho2 u) ],
+    du/ds = d/dz [ -q u + d/dz (rho2 u) ],
 
-whose stationary state is the reduced density y (the zero-flux first
-integral).  The flux F = (alpha z - rho1 + rho2') u + rho2 u' is
+with q = rho1 - alpha z = f rho2 + rho2' the reduced drift, which does
+not depend on alpha; its stationary state is the reduced density y (the
+zero-flux first integral).  The flux F = (rho2' - q) u + rho2 u' is
 discretized in finite-volume form with exponentially fitted
 (Chang-Cooper / Scharfetter-Gummel type) face weights, zero flux hard-set
 at the two boundary faces, and implicit Euler stepping in s.  The drift
-to diffusion ratio (alpha z - rho1 + rho2') / rho2 is exactly -f = -y'/y,
-so the Peclet number integrated across a face is a difference of log y
-and needs no quadrature.  Evolution must conserve mass to roundoff and
+to diffusion ratio (rho2' - q) / rho2 is exactly -f = -y'/y, so the
+Peclet number integrated across a face is a difference of log y and needs
+no quadrature.  Evolution must conserve mass to roundoff and
 relax onto y; that is the verification.
 """
 
@@ -163,10 +164,11 @@ class DiscreteOperator:
 def transformed_operator(sol: SimilaritySolution, grid: ZGrid) -> DiscreteOperator:
     """Assemble the finite-volume operator for a solution on its grid.
 
-    Face conductances use the diffusion rho2 at the face, evaluated from
-    ``sol.diffusion_coefs``; the exponential weights use the Peclet number
-    integrated across the face's cell-center interval.  The drift to
-    diffusion ratio is -f = -(log y)', so that integral is exactly
+    The face flux is F = (rho2' - q) u + rho2 u'.  Face conductances use the
+    diffusion rho2 at the face, evaluated from ``sol.diffusion_coefs``; the
+    exponential weights use the Peclet number integrated across the face's
+    cell-center interval.  The drift to diffusion ratio
+    (rho2' - q) / rho2 is -f = -(log y)', so that integral is exactly
     log y(c_j) - log y(c_{j+1}), which stays accurate where the ratio
     varies fast across a cell, next to the degenerate-diffusion endpoints.
     The two boundary faces are hard-set to zero flux rather than evaluated,

@@ -3,65 +3,32 @@
 A one-parameter rescaling x -> eps^a x, t -> eps^b t leaves the forward
 equation form-invariant when the coefficient indices satisfy b = a - d and
 b = 2a - e, and the density index is c = -a.  Only the ratio alpha = a / b
-is physical; the canonical gauge b = 1 is fixed here so every downstream
-API takes a single exponent.  The reduced coordinate is z = x / t^alpha.
+is physical, so every API takes that single exponent.  The reduced
+coordinate is z = x / t^alpha; in z and s = ln t the dynamics do not
+depend on alpha, which enters only through that map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 __all__ = [
-    "ScalingExponents",
-    "make_exponents",
+    "check_alpha",
     "similarity_variable",
     "drift_from_f",
 ]
 
 
-@dataclass(frozen=True)
-class ScalingExponents:
-    """Consistent set of scaling indices (a, b, c, d, e) with alpha = a / b."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.b == 0.0 or self.a == 0.0:
-            raise ValueError("scaling indices require a != 0 and b != 0")
-        for value in (self.a, self.b, self.c, self.d, self.e, self.alpha):
-            if not math.isfinite(value):
-                raise ValueError("scaling indices must be finite")
-        # validated as d = a - b, e = 2a - b: the same relations oriented the
-        # way they are constructed, so equality is exact in floating point
-        if self.d != self.a - self.b or self.e != 2.0 * self.a - self.b:
-            raise ValueError("indices violate form invariance: need b = a - d = 2a - e")
-        if self.c != -self.a:
-            raise ValueError("density normalization at all times requires c = -a")
-        if self.alpha != self.a / self.b:
-            raise ValueError("alpha must equal a / b exactly")
-
-
-def make_exponents(alpha: float) -> ScalingExponents:
-    """Exponent set in the canonical gauge b = 1 for a given alpha.
-
-    Rejects alpha = 0 (and non-finite values): the reduced coordinate
-    degenerates there.
-    """
+def check_alpha(alpha: float) -> float:
+    """alpha as a float; rejects alpha = 0 and non-finite values, where the
+    reduced coordinate degenerates."""
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha == 0.0:
         raise ValueError(f"alpha must be finite and nonzero, got {alpha!r}")
-    a = alpha
-    b = 1.0
-    return ScalingExponents(a=a, b=b, c=-a, d=a - b, e=2.0 * a - b, alpha=alpha)
+    return alpha
 
 
 def similarity_variable(x, t, alpha: float):
@@ -73,13 +40,13 @@ def similarity_variable(x, t, alpha: float):
     return float(z) if z.ndim == 0 else z
 
 
-def drift_from_f(f_rho2, rho2, alpha: float) -> np.ndarray:
-    """Drift profile implied by a shape function and diffusion profile.
+def drift_from_f(f_rho2, rho2) -> np.ndarray:
+    """Reduced drift q = f rho2 + rho2' implied by a shape function.
 
-    Inverts the definition of f:  rho1 = f rho2 + rho2' + alpha z, on
-    polynomial coefficients in ascending powers of z: ``f_rho2`` is the
-    product f rho2 and ``rho2`` the diffusion profile.  This is the
-    constructor used by every solvable family, so the drift is generated
-    from f rather than transcribed.
+    Inverts the definition of f on polynomial coefficients in ascending
+    powers of z: ``f_rho2`` is the product f rho2 and ``rho2`` the
+    diffusion profile.  q contains no alpha; the physical drift profile is
+    rho1 = q + alpha z.  This is the constructor used by every solvable
+    family, so the drift is generated from f rather than transcribed.
     """
-    return P.polyadd(P.polyadd(f_rho2, P.polyder(rho2)), (0.0, alpha))
+    return P.polyadd(f_rho2, P.polyder(rho2))

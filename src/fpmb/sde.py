@@ -13,22 +13,25 @@ absorbed or created.
 Paths are stepped in the reduced coordinates Z = X / t^alpha, s = ln t,
 where Ito's formula gives the time-homogeneous process
 
-    dZ = (rho1(Z) - alpha Z) ds + sqrt(2 rho2(Z)) dB_s
+    dZ = q(Z) ds + sqrt(2 rho2(Z)) dB_s
 
-on the static interval [z_lo, z_hi].  Both profiles are quadratics, so a
-step is two Horner forms over the ensemble: the variance 2 rho2 ds, and Z
-plus the drift (rho1 - alpha Z) ds.  The increment is that of the
-simplified weak Euler scheme (Kloeden & Platen, "Numerical Solution of
-SDEs", 1992, section 14.1): sqrt(2 rho2 ds) times a sign of +-1, one bit of
-the generator's raw stream per path, in place of a Gaussian draw.  It has
-the Gaussian's mean and variance, so the scheme keeps weak order 1, and
-every check on the paths is a check of their law.  Reflection mirrors at
-the fixed endpoints.  Near an endpoint rho2 vanishes linearly while the
-drift points inward, so a bounded increment leaves a path inside to first
-order in ds: on ``propagate``'s default grid no path reflects, and the
-mirror acts only on coarse steps.  Positions are mapped back as z t^alpha,
-the product ``boundary_positions`` forms, so every returned path lies in
-the domain at its time.
+on the static interval [z_lo, z_hi], with q = rho1 - alpha z the reduced
+drift that ``sol.drift_coefs`` holds: alpha enters only through the map
+back to x.  Both profiles are quadratics, so a step is two Horner forms
+over the ensemble: the variance 2 rho2 ds, and Z plus the drift q ds.  The
+increment is that of the simplified weak Euler scheme (Kloeden & Platen,
+"Numerical Solution of SDEs", 1992, section 14.1): sqrt(2 rho2 ds) times a
+sign of +-1, one bit of the generator's raw stream per path, in place of a
+Gaussian draw.  It has the Gaussian's mean and variance, so the scheme
+keeps weak order 1, and every check on the paths is a check of their law.
+Reflection mirrors at the fixed endpoints.  Near an endpoint rho2 vanishes
+linearly while the drift points inward, so a bounded increment leaves a
+path inside to first order in ds: on ``propagate``'s default grid no path
+reflects, and the mirror acts only on coarse steps.  A step that mirrors a
+path beyond the other endpoint (on a half line, beyond the truncation cut)
+is rejected.  Positions are mapped back as z t^alpha, the product
+``boundary_positions`` forms, so every returned path lies in the domain at
+its time.
 
 The ensemble is cut into chunks of ``CHUNK_PATHS`` paths.  Each chunk gets
 its own generator from ``ens.rng.spawn`` and is advanced over the whole
@@ -70,7 +73,8 @@ CHUNK_PATHS = 2**15
 
 
 class StepSizeError(ValueError):
-    """A step was so large that a particle would cross both boundaries."""
+    """A step was so large that a particle would cross both boundaries, or,
+    on a half line, be mirrored beyond the truncation cut."""
 
 
 @dataclass(frozen=True)
@@ -78,13 +82,13 @@ class PathEnsemble:
     """Particle positions at a common time, plus reflection bookkeeping.
 
     The generator is stream state shared across the functional updates;
-    a fixed ``seed`` makes the whole trajectory reproducible bit for bit.
+    the seed ``init_ensemble`` starts it from makes the whole trajectory
+    reproducible bit for bit.
     """
 
     positions: np.ndarray
     t: float
     n_reflections: int
-    seed: int
     rng: np.random.Generator = field(repr=False)
 
 
@@ -100,12 +104,11 @@ def _cdf_table(sol: SimilaritySolution) -> tuple[np.ndarray, np.ndarray]:
     return z, cdf
 
 
-def _require(name: str, value: float, *, positive: bool = True) -> float:
-    """``value`` as a float if finite (and > 0 when ``positive``); else ValueError."""
+def _require(name: str, value: float) -> float:
+    """``value`` as a float if finite and > 0; else ValueError."""
     value = float(value)
-    if not math.isfinite(value) or (positive and value <= 0.0):
-        kind = "finite positive" if positive else "finite"
-        raise ValueError(f"need a {kind} {name}, got {value!r}")
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"need a finite positive {name}, got {value!r}")
     return value
 
 
@@ -136,13 +139,7 @@ def init_ensemble(
         u = u[o]
         chunk[o] = np.interp(u, cdf, z_tab)
     z *= t0**sol.alpha
-    return PathEnsemble(
-        positions=z,
-        t=t0,
-        n_reflections=0,
-        seed=int(seed),
-        rng=rng,
-    )
+    return PathEnsemble(positions=z, t=t0, n_reflections=0, rng=rng)
 
 
 def _horner(x: np.ndarray, c0: float, c1: float, c2: float, out: np.ndarray) -> np.ndarray:
@@ -174,43 +171,43 @@ def _advance(
     rng: np.random.Generator,
     log_steps: list[float],
     drift: tuple[float, float, float],
-    variance: tuple[float, float, float] | None,
+    variance: tuple[float, float, float],
     z_lo: float,
     z_hi: float,
+    z_cut: float,
 ) -> int:
     """Step one chunk of reduced positions in place; return its reflections.
 
-    ``drift`` holds the ascending coefficients of rho1(z) - alpha z and
-    ``variance`` those of 2 rho2(z), or None for no noise.  Each step of
-    log-time ``ds`` folds ds (and the identity, for the drift) into the
-    Horner coefficients, and moves each path by sqrt(2 rho2 ds) with a sign
-    from one bit of ``rng``'s raw stream: ceil(m / 64) words per step for m
-    paths, bit k of their little-endian bytes for path k, 1 meaning +1.
+    ``drift`` holds the ascending coefficients of q(z) and ``variance``
+    those of 2 rho2(z).  Each step of log-time ``ds`` folds ds (and the
+    identity, for the drift) into the Horner coefficients, and moves each
+    path by sqrt(2 rho2 ds) with a sign from one bit of ``rng``'s raw
+    stream: ceil(m / 64) words per step for m paths, bit k of their
+    little-endian bytes for path k, 1 meaning +1.  A path mirrored at
+    ``z_lo`` must land at or below ``z_cut``: ``z_hi`` on a finite domain,
+    the truncation cut on a half line.
     """
     d0, d1, d2 = drift
+    v0, v1, v2 = variance
     work = np.empty_like(z)
-    noise = np.empty_like(z) if variance is not None else None
+    noise = np.empty_like(z)
     mask = np.empty(z.shape, dtype=bool)
     n_words = -(-z.size // 64)
     reflections = 0
     for ds in log_steps:
-        if variance is None:
-            np.copyto(z, _horner(z, d0 * ds, 1.0 + d1 * ds, d2 * ds, work))
-        else:
-            v0, v1, v2 = variance
-            _horner(z, v0 * ds, v1 * ds, v2 * ds, work)
-            np.maximum(work, 0.0, out=work)
-            np.sqrt(work, out=work)
-            raw = rng.bit_generator.random_raw(n_words).astype("<u8", copy=False)
-            np.copyto(noise, np.unpackbits(raw.view(np.uint8), count=z.size, bitorder="little"))
-            # bits minus a half carry the signs; the amplitude is >= 0
-            noise -= 0.5
-            np.copysign(work, noise, out=work)
-            # noise is spent: z + (rho1 - alpha z) ds goes into it
-            np.add(_horner(z, d0 * ds, 1.0 + d1 * ds, d2 * ds, noise), work, out=z)
+        _horner(z, v0 * ds, v1 * ds, v2 * ds, work)
+        np.maximum(work, 0.0, out=work)
+        np.sqrt(work, out=work)
+        raw = rng.bit_generator.random_raw(n_words).astype("<u8", copy=False)
+        np.copyto(noise, np.unpackbits(raw.view(np.uint8), count=z.size, bitorder="little"))
+        # bits minus a half carry the signs; the amplitude is >= 0
+        noise -= 0.5
+        np.copysign(work, noise, out=work)
+        # noise is spent: z + q ds goes into it
+        np.add(_horner(z, d0 * ds, 1.0 + d1 * ds, d2 * ds, noise), work, out=z)
         # each path is mirrored at most once: an image beyond the other
-        # endpoint means the step crossed both.  Both tests fail on NaN, and
-        # a NaN position makes the minimum NaN
+        # endpoint (the cut, on a half line) means the step crossed both.
+        # Both tests fail on NaN, and a NaN position makes the minimum NaN
         z_min = z.min()
         if not z_min >= z_lo:
             if math.isnan(z_min):
@@ -218,7 +215,7 @@ def _advance(
             np.less(z, z_lo, out=mask)
             reflections += int(np.count_nonzero(mask))
             np.subtract(2.0 * z_lo, z, out=z, where=mask)
-            if np.max(z, where=mask, initial=-math.inf) > z_hi:
+            if np.max(z, where=mask, initial=-math.inf) > z_cut:
                 raise _crossed_both(ds)
         if not z.max() <= z_hi:
             np.greater(z, z_hi, out=mask)
@@ -229,18 +226,12 @@ def _advance(
     return reflections
 
 
-def _march(
-    ens: PathEnsemble, sol: SimilaritySolution, times: list[float], noise_scale: float = 1.0
-) -> PathEnsemble:
+def _march(ens: PathEnsemble, sol: SimilaritySolution, times: list[float]) -> PathEnsemble:
     """Advance the ensemble over the time grid ``times`` (``times[0] == ens.t``)."""
     alpha = sol.alpha
     log_steps = [math.log(b / a) for a, b in zip(times, times[1:])]
-    r0, r1, r2 = sol.drift_coefs
-    drift = (r0, r1 - alpha, r2)
-    variance = None
-    if noise_scale != 0.0:
-        scale = 2.0 * noise_scale * noise_scale
-        variance = tuple(scale * c for c in sol.diffusion_coefs)
+    variance = tuple(2.0 * c for c in sol.diffusion_coefs)
+    z_cut = effective_upper(sol)
 
     z = ens.positions / ens.t**alpha
     n_chunks = -(-z.size // CHUNK_PATHS)
@@ -248,7 +239,8 @@ def _march(
 
     def run(k: int) -> int:
         chunk = z[k * CHUNK_PATHS : (k + 1) * CHUNK_PATHS]
-        return _advance(chunk, rngs[k], log_steps, drift, variance, sol.z_lo, sol.z_hi)
+        return _advance(chunk, rngs[k], log_steps, sol.drift_coefs, variance,
+                        sol.z_lo, sol.z_hi, z_cut)
 
     workers = min(_worker_count(), n_chunks)
     if workers > 1:
@@ -263,24 +255,17 @@ def _march(
     )
 
 
-def step_ensemble(
-    ens: PathEnsemble, sol: SimilaritySolution, dt: float, *, noise_scale: float = 1.0
-) -> PathEnsemble:
+def step_ensemble(ens: PathEnsemble, sol: SimilaritySolution, dt: float) -> PathEnsemble:
     """One weak Euler step from ``ens.t`` to ``ens.t + dt``, with reflection.
 
     The step is taken in the reduced coordinates over ds = ln((t + dt) / t).
     Positions are taken to lie in the closed domain at ``ens.t``, as every
     ensemble from ``init_ensemble``, ``step_ensemble`` and ``propagate``
     does.
-
-    ``noise_scale=0`` switches off the diffusion term, turning the update
-    into a forward-Euler step of the deterministic drift flow (used by the
-    zero-noise verification against an ODE integrator).
     """
     t = _require("ensemble time t", ens.t)
     dt = _require("dt", dt)
-    noise_scale = _require("noise_scale", noise_scale, positive=False)
-    return _march(ens, sol, [t, t + dt], noise_scale)
+    return _march(ens, sol, [t, t + dt])
 
 
 def propagate(

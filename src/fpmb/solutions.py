@@ -8,16 +8,20 @@ Sorensen, Scand. J. Stat. 35, 2008): the reduced density is
 with linear factors l1, l2 that are positive on the open domain (each
 finite endpoint is a root of one of them), and the diffusion profile is
 the quadratic rho2 = l1 l2.  A solution is stored as plain numbers: the
-factors, the rate b, the domain and the coefficients of both profiles.
-The shape function f = y'/y gives the polynomial
-f rho2 = a1 l1' l2 + a2 l2' l1 + b l1 l2, and the drift profile rho1 is
-*generated* from it through ``scaling.drift_from_f``, never written out by
-hand.  Both profiles are evaluated only from their coefficients, so the
-residual checks below, which hold them against f pointwise, detect a
-mistranscribed or corrupted coefficient of either.
+factors, the rate b, the domain, the coefficients of both profiles and
+alpha.  The shape function f = y'/y gives the polynomial
+f rho2 = a1 l1' l2 + a2 l2' l1 + b l1 l2, and the reduced drift
+q = f rho2 + rho2' is *generated* from it through ``scaling.drift_from_f``,
+never written out by hand.  q and rho2 are the drift and diffusion of the
+reduced process dZ = q(Z) ds + sqrt(2 rho2(Z)) dB_s in s = ln t; neither
+contains alpha.  Both profiles are evaluated only from their coefficients,
+so the residual checks below, which hold them against f pointwise, detect
+a mistranscribed or corrupted coefficient of either.
 
-The physical density is W(x, t) = t^{-alpha} y(x / t^alpha) with y
-normalized to unit mass; domain endpoints move as z_k t^alpha.
+alpha enters only through the map x = z t^alpha: the physical density is
+W(x, t) = t^{-alpha} y(x / t^alpha) with y normalized to unit mass, domain
+endpoints move as z_k t^alpha, and the physical drift profile is
+rho1 = q + alpha z, formed only where D1 is.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Union
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .scaling import ScalingExponents, drift_from_f, make_exponents
+from .scaling import check_alpha, drift_from_f
 from .specfun import (
     QuadratureResult,
     _combine,
@@ -190,15 +194,17 @@ class SimilaritySolution:
     (z_lo, z_hi).  Each entry of ``factors`` is a linear factor
     (root r, orientation s, exponent a), with l(z) = z - r for s = +1 and
     r - z for s = -1; the first factor vanishes at z_lo.  ``drift_coefs``
-    and ``diffusion_coefs`` are the coefficients of the quadratics rho1 and
-    rho2 = l1 l2 in ascending powers of z, generated from the factors at
-    build time; they are the only representation of the two profiles.
+    and ``diffusion_coefs`` are the coefficients of the quadratics
+    q = f rho2 + rho2' and rho2 = l1 l2 in ascending powers of z, generated
+    from the factors at build time; they are the drift and diffusion of the
+    reduced process, and the only representation of the two profiles.
+    Neither depends on ``alpha``, the scaling exponent of x = z t^alpha.
     ``norm_A`` is the normalization in use (``norm_A_source`` says which
     route produced it); both routes are retained so their agreement can be
     asserted independently.
     """
 
-    exponents: ScalingExponents
+    alpha: float
     class_params: SolutionClass
     factors: tuple[tuple[float, float, float], tuple[float, float, float]]
     rate: float
@@ -210,10 +216,6 @@ class SimilaritySolution:
     norm_A_source: str
     norm_A_closed: float
     norm_A_quadrature: float
-
-    @property
-    def alpha(self) -> float:
-        return self.exponents.alpha
 
 
 _NORM_RTOL = 1e-12
@@ -369,13 +371,13 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
     """Construct a solvable model for the given scaling exponent and family.
 
     rho2 = l1 l2 and f rho2 = a1 l1' l2 + a2 l2' l1 + b l1 l2 are multiplied
-    out exactly, and the drift profile comes from ``drift_from_f``; the
+    out exactly, and the reduced drift comes from ``drift_from_f``; the
     normalization is computed both in closed form and by quadrature and the
     two are required to agree.  The closed form is authoritative for the
     finite-domain families; the half-line family keeps the quadrature value
     (its closed form is retained as a cross-check only).
     """
-    exponents = make_exponents(alpha)
+    alpha = check_alpha(alpha)
     factors, rate, z_lo, z_hi = params.linear_factors()
     (r1, s1, a1), (r2, s2, a2) = factors
     l1 = np.array([-s1 * r1, s1])
@@ -383,13 +385,13 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
     rho2_coefs = P.polymul(l1, l2)
     f_rho2 = P.polyadd(P.polyadd(a1 * s1 * l2, a2 * s2 * l1), rate * rho2_coefs)
     shape = SimilaritySolution(
-        exponents=exponents,
+        alpha=alpha,
         class_params=params,
         factors=factors,
         rate=rate,
         z_lo=z_lo,
         z_hi=z_hi,
-        drift_coefs=_quadratic_tuple(drift_from_f(f_rho2, rho2_coefs, alpha)),
+        drift_coefs=_quadratic_tuple(drift_from_f(f_rho2, rho2_coefs)),
         diffusion_coefs=_quadratic_tuple(rho2_coefs),
         norm_A=math.nan,
         norm_A_source="",
@@ -472,12 +474,19 @@ def current(sol: SimilaritySolution, x, t: float, w=None):
     return float(out) if out.ndim == 0 else out
 
 
+def _physical_drift(sol: SimilaritySolution) -> tuple[float, float, float]:
+    """Coefficients of the physical drift profile rho1 = q + alpha z."""
+    q0, q1, q2 = sol.drift_coefs
+    return q0, q1 + sol.alpha, q2
+
+
 def current_from_definition(sol: SimilaritySolution, x, t: float):
     """Current from its defining combination D1 W - d/dx (D2 W).
 
-    rho1 and rho2 come from ``sol.drift_coefs`` and ``sol.diffusion_coefs``,
-    y' from f; agreement with ``current`` is a consistency check, and
-    breaks if the coefficients of either profile are tampered with.
+    rho1 = q + alpha z and rho2 come from ``sol.drift_coefs`` and
+    ``sol.diffusion_coefs``, y' from f; agreement with ``current`` is a
+    consistency check, and breaks if the coefficients of either profile
+    are tampered with.
     """
     t = _check_time(t)
     t_alpha = t**sol.alpha
@@ -487,7 +496,8 @@ def current_from_definition(sol: SimilaritySolution, x, t: float):
     z_safe = np.where(inside, z, _interior_anchor(sol))
     y = sol.norm_A * np.exp(_log_y(sol, z_safe))
     y_prime = f(sol, z_safe) * y
-    drift = _quadratic(sol.drift_coefs, z_safe) - _quadratic_prime(sol.diffusion_coefs, z_safe)
+    rho1 = _quadratic(_physical_drift(sol), z_safe)
+    drift = rho1 - _quadratic_prime(sol.diffusion_coefs, z_safe)
     val = drift * y - rho2(sol, z_safe) * y_prime
     out = np.where(inside, val / t, 0.0)
     return float(out) if out.ndim == 0 else out
@@ -497,7 +507,7 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     """Drift and diffusion coefficients (D1, D2) at (x, t); zero off-domain.
 
     Both profiles are quadratics in the reduced coordinate z = x / t^alpha,
-    evaluated in Horner form from ``sol.drift_coefs`` and
+    evaluated in Horner form from rho1 = q + alpha z and
     ``sol.diffusion_coefs``.  On the closed domain D1 = t^(alpha-1) rho1(z):
     finite at every endpoint, with no removable 0 * inf left to dodge.
     D2 = t^(2 alpha - 1) rho2(z) on the open domain, clamped at 0 against
@@ -510,7 +520,8 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     z = x / t_alpha
     inside = (z >= sol.z_lo) & (z <= sol.z_hi)
     z_safe = np.where(inside, z, _interior_anchor(sol))
-    d1 = np.where(inside, t ** (sol.alpha - 1.0) * _quadratic(sol.drift_coefs, z_safe), 0.0)
+    rho1 = _quadratic(_physical_drift(sol), z_safe)
+    d1 = np.where(inside, t ** (sol.alpha - 1.0) * rho1, 0.0)
     rho2_z = np.maximum(rho2(sol, z_safe), 0.0)
     d2 = np.where((z > sol.z_lo) & (z < sol.z_hi), t ** (2.0 * sol.alpha - 1.0) * rho2_z, 0.0)
     if d1.ndim == 0:
@@ -564,23 +575,22 @@ def mass(sol: SimilaritySolution, t: float) -> float:
 
 
 def first_integral_residual(sol: SimilaritySolution, z):
-    """Residual and local scale of rho2 y' + (rho2' - rho1 + alpha z) y = 0.
+    """Residual and local scale of rho2 y' + (rho2' - q) y = 0.
 
-    rho1, rho2 and rho2' come from the coefficients, y' = f y from the factors.
+    q, rho2 and rho2' come from the coefficients, y' = f y from the factors.
     """
     z = np.asarray(z, dtype=float)
     y = reduced_density(sol, z)
     term1 = rho2(sol, z) * f(sol, z) * y
-    w = _quadratic_prime(sol.diffusion_coefs, z) - _quadratic(sol.drift_coefs, z)
-    term2 = (w + sol.alpha * z) * y
+    term2 = (_quadratic_prime(sol.diffusion_coefs, z) - _quadratic(sol.drift_coefs, z)) * y
     return term1 + term2, np.abs(term1) + np.abs(term2)
 
 
 def reduced_ode_residual(sol: SimilaritySolution, z):
     """Residual and local scale of the second-order reduced equation.
 
-    rho2 y'' + (2 rho2' - rho1 + alpha z) y' + (rho2'' - rho1' + alpha) y = 0,
-    with rho1, rho2 and their derivatives from the coefficients and
+    rho2 y'' + (2 rho2' - q) y' + (rho2'' - q') y = 0,
+    with q, rho2 and their derivatives from the coefficients and
     y' = f y, y'' = (f^2 + f') y from the factors.
     """
     z = np.asarray(z, dtype=float)
@@ -588,8 +598,8 @@ def reduced_ode_residual(sol: SimilaritySolution, z):
     fz = f(sol, z)
     drift, diffusion = sol.drift_coefs, sol.diffusion_coefs
     t1 = rho2(sol, z) * (fz * fz + f_prime(sol, z)) * y
-    t2 = (2.0 * _quadratic_prime(diffusion, z) - _quadratic(drift, z) + sol.alpha * z) * fz * y
-    t3 = (2.0 * diffusion[2] - _quadratic_prime(drift, z) + sol.alpha) * y
+    t2 = (2.0 * _quadratic_prime(diffusion, z) - _quadratic(drift, z)) * fz * y
+    t3 = (2.0 * diffusion[2] - _quadratic_prime(drift, z)) * y
     return t1 + t2 + t3, np.abs(t1) + np.abs(t2) + np.abs(t3)
 
 

@@ -590,9 +590,9 @@ class TestVerify:
     def test_tampered_drift_fails_first_integral(self, built_presets):
         sol = built_presets["fig1"]
         params = sol.class_params
-        bad_drift = (  # a1 off by one
+        bad_drift = (  # q with a1 off by one
             (params.a1 + 2.0) * params.z2 + (params.a2 + 1.0) * params.z1,
-            sol.alpha - (params.a1 + 1.0) - params.a2 - 2.0,
+            -(params.a1 + 1.0) - params.a2 - 2.0,
             0.0,
         )
         tampered = dataclasses.replace(sol, drift_coefs=bad_drift)

@@ -125,14 +125,14 @@ def peclet_models(built_presets):
 
 class TestExactPeclet:
     def test_face_peclet_matches_quadrature(self, built_presets):
-        # reference: the integral of w / rho2 = (alpha z - rho1 + rho2') / rho2
-        # (that is, of -f) between adjacent cell centers, by quadrature of
-        # the coefficient polynomials
+        # reference: the integral of (rho2' - q) / rho2 (that is, of -f)
+        # between adjacent cell centers, by quadrature of the coefficient
+        # polynomials
         for sol in peclet_models(built_presets):
             drift, diffusion = sol.drift_coefs, sol.diffusion_coefs
 
             def ratio(z):
-                w = sol.alpha * z - polyval(z, drift) + polyval(z, polyder(diffusion))
+                w = polyval(z, polyder(diffusion)) - polyval(z, drift)
                 return w / polyval(z, diffusion)
 
             grid = make_grid(sol, 400)

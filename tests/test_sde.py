@@ -32,6 +32,11 @@ from fpmb.sde import (
 )
 
 
+def without_noise(sol):
+    """The model with rho2 = 0: a step moves each path by its drift alone."""
+    return dataclasses.replace(sol, diffusion_coefs=(0.0, 0.0, 0.0))
+
+
 class TestInit:
     def test_positions_inside_domain(self, built_presets):
         for name in ("fig1", "fig3", "fig5"):
@@ -127,6 +132,19 @@ class TestStep:
         assert all(a <= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] > 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_paths, seed, bad_step", [(5000, 6, 2), (20_000, 12, 0)])
+    def test_half_line_image_beyond_the_cut_rejected(self, built_presets, n_paths, seed,
+                                                     bad_step):
+        # steps of 0.2 t on fig5: a path mirrored at the finite end to beyond
+        # the truncation cut is rejected at that step, before any overflow
+        sol = built_presets["fig5"]
+        ens = init_ensemble(sol, n_paths, 0.5, seed=seed)
+        for _ in range(bad_step):
+            ens = step_ensemble(ens, sol, 0.2 * ens.t)
+        with pytest.raises(StepSizeError, match="crossed both boundaries"):
+            step_ensemble(ens, sol, 0.2 * ens.t)
+
     def test_particle_at_boundary_moves_inward(self, built_presets):
         sol = built_presets["fig1"]
         lo, hi = boundary_positions(sol, 0.3)
@@ -134,7 +152,6 @@ class TestStep:
             positions=np.array([lo, hi]),
             t=0.3,
             n_reflections=0,
-            seed=0,
             rng=np.random.default_rng(0),
         )
         # relative drift at the endpoints points into the domain for this family
@@ -150,15 +167,16 @@ class TestStep:
 
     def test_zero_noise_matches_ode_oracle(self, built_presets):
         sol = built_presets["fig1"]
+        drift_only = without_noise(sol)
         x0 = np.array([0.15, 0.225, 0.32])
         ens = PathEnsemble(
-            positions=x0.copy(), t=0.3, n_reflections=0, seed=0,
+            positions=x0.copy(), t=0.3, n_reflections=0,
             rng=np.random.default_rng(0),
         )
         n_steps = 2000
         dt = (0.5 - 0.3) / n_steps
         for _ in range(n_steps):
-            ens = step_ensemble(ens, sol, dt, noise_scale=0.0)
+            ens = step_ensemble(ens, drift_only, dt)
 
         def rhs(t, x):
             d1, _ = coefficients(sol, x, t)
@@ -170,11 +188,11 @@ class TestStep:
     def test_oversized_step_rejected(self, built_presets):
         sol = built_presets["fig2"]
         ens = PathEnsemble(
-            positions=np.array([3.9]), t=1.0, n_reflections=0, seed=0,
+            positions=np.array([3.9]), t=1.0, n_reflections=0,
             rng=np.random.default_rng(0),
         )
         with pytest.raises(StepSizeError):
-            step_ensemble(ens, sol, 4.0, noise_scale=0.0)
+            step_ensemble(ens, without_noise(sol), 4.0)
 
     def test_rejects_nonpositive_dt(self, built_presets):
         ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
@@ -331,27 +349,22 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("t", [math.nan, 0.0, -1.0])
     def test_ensemble_time(self, built_presets, t):
         sol = built_presets["fig2"]  # alpha < 0: t = 0 has no finite t^alpha
-        ens = PathEnsemble(positions=np.array([2.0]), t=t, n_reflections=0, seed=0,
+        ens = PathEnsemble(positions=np.array([2.0]), t=t, n_reflections=0,
                            rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="ensemble time"):
             step_ensemble(ens, sol, 1e-3)
         with pytest.raises(ValueError, match="ensemble time"):
             propagate(ens, sol, 1.0)
 
-    def test_noise_scale(self, built_presets):
-        ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
-        with pytest.raises(ValueError, match="noise_scale"):
-            step_ensemble(ens, built_presets["fig1"], 1e-3, noise_scale=math.nan)
-
-    @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
-    def test_nan_position_fails_the_boundary_tests(self, built_presets, noise_scale):
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_nan_position_fails_the_boundary_tests(self, built_presets, noise):
         sol = built_presets["fig1"]
         ens = init_ensemble(sol, 100, 0.3, seed=1)
         positions = ens.positions.copy()
         positions[57] = math.nan
         ens = dataclasses.replace(ens, positions=positions)
         with pytest.raises(RuntimeError, match="NaN"):
-            step_ensemble(ens, sol, 1e-3, noise_scale=noise_scale)
+            step_ensemble(ens, sol if noise else without_noise(sol), 1e-3)
 
     @pytest.mark.parametrize("name, kwargs", [
         ("t_end", {"t_end": math.nan}),
@@ -421,7 +434,7 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram_distance(ens, sol, 5)
         empty = PathEnsemble(
-            positions=np.array([]), t=0.3, n_reflections=0, seed=0,
+            positions=np.array([]), t=0.3, n_reflections=0,
             rng=np.random.default_rng(0),
         )
         with pytest.raises(ValueError):

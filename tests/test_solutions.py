@@ -296,9 +296,12 @@ class TestQuadraticProfiles:
         for sol in sols:
             z = interior_points(sol, 1000)
             transcribed = transcribed_profiles(sol.alpha, sol.class_params)
-            for coefs, ref_coefs in zip((sol.drift_coefs, sol.diffusion_coefs), transcribed):
+            # the transcribed drift is rho1 = q + alpha z
+            generated = (polyval(z, sol.drift_coefs) + sol.alpha * z,
+                         polyval(z, sol.diffusion_coefs))
+            for got, ref_coefs in zip(generated, transcribed):
                 ref = polyval(z, ref_coefs)
-                err = np.max(np.abs(polyval(z, coefs) - ref))
+                err = np.max(np.abs(got - ref))
                 assert err <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -428,9 +431,9 @@ class TestIdentities:
 
         sol = built_presets["fig1"]
         params = sol.class_params
-        bad_drift = (  # a1 off by one
+        bad_drift = (  # q with a1 off by one
             (params.a1 + 2.0) * params.z2 + (params.a2 + 1.0) * params.z1,
-            sol.alpha - (params.a1 + 1.0) - params.a2 - 2.0,
+            -(params.a1 + 1.0) - params.a2 - 2.0,
             0.0,
         )
         tampered = dataclasses.replace(sol, drift_coefs=bad_drift)
