@@ -301,8 +301,8 @@ def check_sde_histogram(
     return _at_most("sde_histogram_l1", sde.histogram_distance(ens, sol, n_bins), tol)
 
 
-# the errors the library raises on numerics it cannot carry out (StepSizeError
-# is a ValueError, ConvergenceError a RuntimeError)
+# the errors the library raises on numerics it cannot carry out
+# (ConvergenceError is a RuntimeError)
 _CHECK_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError)
 
 
@@ -430,8 +430,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     block = _csv_block(sde.histogram_table(ens, sol, cfg.n_bins))
     _write_rows(cfg.out, "bin_center,empirical_density,analytic_density", [block])
     dist = sde.histogram_distance(ens, sol, cfg.n_bins)
-    print(f"paths={cfg.n_paths} reflections={ens.n_reflections} l1_distance={dist:.6f}",
-          file=sys.stderr)
+    print(f"paths={cfg.n_paths} l1_distance={dist:.6f}", file=sys.stderr)
     return 0
 
 

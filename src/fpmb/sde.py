@@ -2,13 +2,12 @@
 
     dX = D1(X, t) dt + sqrt(2 D2(X, t)) dB
 
-with mirror reflection at the instantaneous domain endpoints.  Under the
-Ito convention with noise amplitude sqrt(2 D2), the forward equation for
-the path density is exactly the one the analytic models solve (diffusion
-inside two derivatives), so histograms of a propagated ensemble must
-converge to the analytic density at the usual 1/sqrt(N) rate.  Reflection
-realizes the zero-flux boundaries at path level: no particle is ever
-absorbed or created.
+inside the instantaneous domain.  Under the Ito convention with noise
+amplitude sqrt(2 D2), the forward equation for the path density is exactly
+the one the analytic models solve (diffusion inside two derivatives), so
+histograms of a propagated ensemble must converge to the analytic density at
+the usual 1/sqrt(N) rate.  No path is ever absorbed, created or mirrored:
+the scheme's own flows keep every path in the domain.
 
 Paths are stepped in the reduced coordinates Z = X / t^alpha, s = ln t,
 where Ito's formula gives the time-homogeneous process
@@ -17,28 +16,38 @@ where Ito's formula gives the time-homogeneous process
 
 on the static interval [z_lo, z_hi], with q = rho1 - alpha z the reduced
 drift that ``sol.drift_coefs`` holds: alpha enters only through the map
-back to x.  Both profiles are quadratics, so a step is two Horner forms
-over the ensemble: the variance 2 rho2 ds, and Z plus the drift q ds.  The
-increment is that of the simplified weak Euler scheme (Kloeden & Platen,
-"Numerical Solution of SDEs", 1992, section 14.1): sqrt(2 rho2 ds) times a
-sign of +-1, one bit of the generator's raw stream per path, in place of a
-Gaussian draw.  It has the Gaussian's mean and variance, so the scheme
-keeps weak order 1, and every check on the paths is a check of their law.
-Reflection mirrors at the fixed endpoints.  Near an endpoint rho2 vanishes
-linearly while the drift points inward, so a bounded increment leaves a
-path inside to first order in ds: on ``propagate``'s default grid no path
-reflects, and the mirror acts only on coarse steps.  A step that mirrors a
-path beyond the other endpoint (on a half line, beyond the truncation cut)
-is rejected.  Positions are mapped back as z t^alpha, the product
+back to x.  The process is split into the Stratonovich drift field
+V0 = q - rho2'/2 and the diffusion field V1 = sqrt(2 rho2), and each step of
+log-time ds is the Strang step
+
+    exp(ds/2 V0) exp(sqrt(ds) xi V1) exp(ds/2 V0),
+
+the Ninomiya-Victoir scheme (Appl. Math. Finance 15, 2008) for one Brownian
+motion, which Alfonsi (Math. Comp. 79, 2010) applies to the same square-root
+field.  Both flows are exact.  V0 is a quadratic, a Riccati field, so its
+flow is a Moebius map; two consecutive half steps merge into one map.  With
+rho2 = kappa ((z - m)^2 - R^2) and w = z - m, the flow of V1 solves
+w'' = 2 kappa w: a path runs along a circle (kappa < 0) or a hyperbola
+(kappa > 0) through the domain's endpoints, so it passes an endpoint as a
+mirror would, with no test.  V0 points into the domain at both endpoints,
+so its flow keeps every path inside too.  xi takes +-sqrt(1 + sqrt 6) with
+probability 1/8 each and +-sqrt(1 - sqrt(2/3)) with probability 3/8 each,
+from three bits of the generator's raw stream per path.  Its moments match
+the Gaussian's up to the fifth, so the scheme has weak order 2 for smooth
+fields (sqrt(rho2) is not smooth at an endpoint: fig2's a1 = 1/3 converges
+more slowly), and every check on the paths is a check of their law.
+``propagate`` takes k equal steps of log-time no longer than ``ds_max``
+(``DS_MAX`` by default).  Positions are clamped to [z_lo, z_hi] once at the
+end, which absorbs rounding, and mapped back as z t^alpha, the product
 ``boundary_positions`` forms, so every returned path lies in the domain at
 its time.
 
 The ensemble is cut into chunks of ``CHUNK_PATHS`` paths.  Each chunk gets
-its own generator from ``ens.rng.spawn`` and is advanced over the whole
-time grid in place, with buffers small enough to stay in cache; chunks run
-on a thread pool as large as the CPUs the process may use (numpy releases
-the GIL in the generator and the ufuncs).  Results depend on the seed and
-the chunk size, never on the number of threads.
+its own generator from ``ens.rng.spawn`` and is mapped into the output,
+advanced over the whole grid in place and mapped back while it stays in
+cache; chunks run on a thread pool as large as the CPUs the process may use
+(numpy releases the GIL in the generator and the ufuncs).  Results depend on
+the seed and the chunk size, never on the number of threads.
 """
 
 from __future__ import annotations
@@ -61,7 +70,6 @@ from .solutions import (
 
 __all__ = [
     "PathEnsemble",
-    "StepSizeError",
     "init_ensemble",
     "step_ensemble",
     "propagate",
@@ -70,16 +78,16 @@ __all__ = [
 ]
 
 CHUNK_PATHS = 2**15
+DS_MAX = 0.0075
 
-
-class StepSizeError(ValueError):
-    """A step was so large that a particle would cross both boundaries, or,
-    on a half line, be mirrored beyond the truncation cut."""
+# xi: +-_XI[0] with probability 1/8 each, +-_XI[1] with 3/8 each, so that
+# E xi^2 = 1 and E xi^4 = 3
+_XI = (math.sqrt(1.0 + math.sqrt(6.0)), math.sqrt(1.0 - math.sqrt(2.0 / 3.0)))
 
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Particle positions at a common time, plus reflection bookkeeping.
+    """Particle positions at a common time.
 
     The generator is stream state shared across the functional updates;
     the seed ``init_ensemble`` starts it from makes the whole trajectory
@@ -88,7 +96,6 @@ class PathEnsemble:
 
     positions: np.ndarray
     t: float
-    n_reflections: int
     rng: np.random.Generator = field(repr=False)
 
 
@@ -139,16 +146,7 @@ def init_ensemble(
         u = u[o]
         chunk[o] = np.interp(u, cdf, z_tab)
     z *= t0**sol.alpha
-    return PathEnsemble(positions=z, t=t0, n_reflections=0, rng=rng)
-
-
-def _horner(x: np.ndarray, c0: float, c1: float, c2: float, out: np.ndarray) -> np.ndarray:
-    """c0 + x (c1 + x c2), built in place in ``out``."""
-    np.multiply(x, c2, out=out)
-    out += c1
-    out *= x
-    out += c0
-    return out
+    return PathEnsemble(positions=z, t=t0, rng=rng)
 
 
 def _worker_count() -> int:
@@ -159,140 +157,174 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _crossed_both(ds: float) -> StepSizeError:
-    return StepSizeError(
-        f"a path crossed both boundaries in one step of log-time ds={ds!r}; "
-        "reduce the step size"
-    )
+_Moebius = tuple[float, float, float, float]
+
+
+def _compose(p: _Moebius, q: _Moebius) -> _Moebius:
+    """The map p after q, as the product of their 2 x 2 matrices."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _drift_map(a: float, b: float, c: float, h: float) -> _Moebius:
+    """The flow over h of dw/ds = a + b w + c w^2, as w -> (A w + B) / (C w + D).
+
+    With w = u / v the Riccati equation becomes linear, (u, v)' = G (u, v)
+    with G = [[b/2, a], [-c, -b/2]], so (A, B, C, D) is exp(h G) up to a
+    factor.  G^2 = delta I with delta = b^2/4 - a c, so exp(h G) is
+    ch I + sh G; for delta > 0 it is divided by cosh(h sqrt(delta)), so
+    that no entry overflows.
+    """
+    delta = 0.25 * b * b - a * c
+    r = math.sqrt(abs(delta))
+    if delta > 0.0:
+        ch, sh = 1.0, math.tanh(h * r) / r
+    elif delta < 0.0:
+        ch, sh = math.cos(h * r), math.sin(h * r) / r
+    else:
+        ch, sh = 1.0, h
+    return (ch + 0.5 * b * sh, a * sh, -c * sh, ch - 0.5 * b * sh)
+
+
+def _moebius(p: _Moebius, x: np.ndarray, out: np.ndarray, den: np.ndarray) -> None:
+    """out = (A x + B) / (C x + D); ``den`` is scratch, ``out`` may be ``x``."""
+    a, b, c, d = p
+    np.multiply(x, c, out=den)
+    den += d
+    np.multiply(x, a, out=out)
+    out += b
+    out /= den
 
 
 def _advance(
-    z: np.ndarray,
+    x: np.ndarray,
+    w: np.ndarray,
     rng: np.random.Generator,
-    log_steps: list[float],
-    drift: tuple[float, float, float],
-    variance: tuple[float, float, float],
-    z_lo: float,
-    z_hi: float,
-    z_cut: float,
-) -> int:
-    """Step one chunk of reduced positions in place; return its reflections.
+    maps: list[_Moebius],
+    kappa: float,
+    r2: float,
+    rotation: tuple[tuple[float, float], tuple[float, float]],
+) -> None:
+    """Step one chunk of paths ``x`` by the split step; write them into ``w``.
 
-    ``drift`` holds the ascending coefficients of q(z) and ``variance``
-    those of 2 rho2(z).  Each step of log-time ``ds`` folds ds (and the
-    identity, for the drift) into the Horner coefficients, and moves each
-    path by sqrt(2 rho2 ds) with a sign from one bit of ``rng``'s raw
-    stream: ceil(m / 64) words per step for m paths, bit k of their
-    little-endian bytes for path k, 1 meaning +1.  A path mirrored at
-    ``z_lo`` must land at or below ``z_cut``: ``z_hi`` on a finite domain,
-    the truncation cut on a half line.
+    ``maps[0]`` takes a path from x to w = z - m after the first half drift
+    step.  Each later map follows one flow of V1: the next two half drift
+    steps merged, or, for the last, the final half step and the map back to
+    z.  The flow of V1 is w C + sqrt(rho2 / |kappa|) S, with
+    rho2 = kappa (w^2 - r2), where C and S are the cos and sin (cosh and
+    sinh for kappa > 0) of xi sqrt(2 |kappa| ds); ``rotation`` holds
+    (C large, C small) and (S large, S small), for |xi| large and small,
+    with S for xi > 0.  Path k's xi comes from
+    byte k of ``rng``'s raw stream, little-endian, ceil(m / 8) words per
+    step for m paths: bit 0 set makes xi positive, and bits 1 and 2 both
+    set make |xi| large.
     """
-    d0, d1, d2 = drift
-    v0, v1, v2 = variance
-    work = np.empty_like(z)
-    noise = np.empty_like(z)
-    mask = np.empty(z.shape, dtype=bool)
-    n_words = -(-z.size // 64)
-    reflections = 0
-    for ds in log_steps:
-        _horner(z, v0 * ds, v1 * ds, v2 * ds, work)
-        np.maximum(work, 0.0, out=work)
-        np.sqrt(work, out=work)
+    (c_large, c_small), (s_large, s_small) = rotation
+    amp = np.empty_like(w)
+    coef = np.empty_like(w)
+    large = np.empty(w.shape, dtype=bool)
+    low = np.empty(w.shape, dtype=np.uint8)
+    n_words = -(-w.size // 8)
+    _moebius(maps[0], x, w, coef)
+    for p in maps[1:]:
         raw = rng.bit_generator.random_raw(n_words).astype("<u8", copy=False)
-        np.copyto(noise, np.unpackbits(raw.view(np.uint8), count=z.size, bitorder="little"))
-        # bits minus a half carry the signs; the amplitude is >= 0
-        noise -= 0.5
-        np.copysign(work, noise, out=work)
-        # noise is spent: z + q ds goes into it
-        np.add(_horner(z, d0 * ds, 1.0 + d1 * ds, d2 * ds, noise), work, out=z)
-        # each path is mirrored at most once: an image beyond the other
-        # endpoint (the cut, on a half line) means the step crossed both.
-        # Both tests fail on NaN, and a NaN position makes the minimum NaN
-        z_min = z.min()
-        if not z_min >= z_lo:
-            if math.isnan(z_min):
-                raise RuntimeError(f"a path position became NaN in a step of log-time ds={ds!r}")
-            np.less(z, z_lo, out=mask)
-            reflections += int(np.count_nonzero(mask))
-            np.subtract(2.0 * z_lo, z, out=z, where=mask)
-            if np.max(z, where=mask, initial=-math.inf) > z_cut:
-                raise _crossed_both(ds)
-        if not z.max() <= z_hi:
-            np.greater(z, z_hi, out=mask)
-            reflections += int(np.count_nonzero(mask))
-            np.subtract(2.0 * z_hi, z, out=z, where=mask)
-            if np.min(z, where=mask, initial=math.inf) < z_lo:
-                raise _crossed_both(ds)
-    return reflections
+        bits = raw.view(np.uint8)[: w.size]
+        np.bitwise_and(bits, 6, out=low)
+        np.equal(low, 6, out=large)
+        # the sign of S, +-1, in amp
+        np.bitwise_and(bits, 1, out=low)
+        np.multiply(low, 2.0, out=amp)
+        amp -= 1.0
+        np.multiply(large, s_large - s_small, out=coef)
+        coef += s_small
+        coef *= amp
+        # amp = sqrt(rho2 / |kappa|) S
+        np.multiply(w, w, out=amp)
+        if kappa < 0.0:
+            np.subtract(r2, amp, out=amp)
+        else:
+            amp -= r2
+        np.maximum(amp, 0.0, out=amp)
+        np.sqrt(amp, out=amp)
+        amp *= coef
+        np.multiply(large, c_large - c_small, out=coef)
+        coef += c_small
+        w *= coef
+        w += amp
+        _moebius(p, w, w, coef)
 
 
-def _march(ens: PathEnsemble, sol: SimilaritySolution, times: list[float]) -> PathEnsemble:
-    """Advance the ensemble over the time grid ``times`` (``times[0] == ens.t``)."""
-    alpha = sol.alpha
-    log_steps = [math.log(b / a) for a, b in zip(times, times[1:])]
-    variance = tuple(2.0 * c for c in sol.diffusion_coefs)
-    z_cut = effective_upper(sol)
+def _march(ens: PathEnsemble, sol: SimilaritySolution, t_end: float, k: int) -> PathEnsemble:
+    """Advance the ensemble to ``t_end`` in k equal steps of log-time."""
+    r0, r1, kappa = sol.diffusion_coefs
+    if kappa == 0.0:
+        raise ValueError("the split step needs a diffusion profile of degree two, "
+                         f"got diffusion_coefs {sol.diffusion_coefs!r}")
+    ds = math.log(t_end / ens.t) / k
+    # rho2 = kappa ((z - m)^2 - r2); V0 = q - rho2'/2 in w = z - m
+    m = -0.5 * r1 / kappa
+    r2 = m * m - r0 / kappa
+    q0, q1, q2 = sol.drift_coefs
+    drift = (q0 + m * (q1 + m * q2), q1 + 2.0 * m * q2 - kappa, q2)
+    half = _drift_map(*drift, 0.5 * ds)
+    maps = [_compose(half, (ens.t**-sol.alpha, -m, 0.0, 1.0))]
+    maps += [_drift_map(*drift, ds)] * (k - 1) + [_compose((1.0, m, 0.0, 1.0), half)]
+    omega = math.sqrt(2.0 * abs(kappa) * ds)
+    cos, sin = (math.cos, math.sin) if kappa < 0.0 else (math.cosh, math.sinh)
+    rotation = tuple((f(omega * _XI[0]), f(omega * _XI[1])) for f in (cos, sin))
+    z_lo, z_hi, t_alpha = sol.z_lo, sol.z_hi, t_end**sol.alpha
 
-    z = ens.positions / ens.t**alpha
-    n_chunks = -(-z.size // CHUNK_PATHS)
+    x = ens.positions
+    out = np.empty_like(x)
+    n_chunks = -(-x.size // CHUNK_PATHS)
     rngs = ens.rng.spawn(n_chunks)
 
-    def run(k: int) -> int:
-        chunk = z[k * CHUNK_PATHS : (k + 1) * CHUNK_PATHS]
-        return _advance(chunk, rngs[k], log_steps, sol.drift_coefs, variance,
-                        sol.z_lo, sol.z_hi, z_cut)
+    def run(i: int) -> None:
+        part = slice(i * CHUNK_PATHS, (i + 1) * CHUNK_PATHS)
+        w = out[part]
+        _advance(x[part], w, rngs[i], maps, kappa, r2, rotation)
+        # rounding can leave a path an ulp outside; NaN only from the input
+        np.clip(w, z_lo, z_hi, out=w)
+        if math.isnan(w.min()):
+            raise RuntimeError("a path position became NaN")
+        w *= t_alpha
 
     workers = min(_worker_count(), n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reflections = sum(pool.map(run, range(n_chunks)))
+            list(pool.map(run, range(n_chunks)))
     else:
-        reflections = sum(map(run, range(n_chunks)))
-    t_end = times[-1]
-    z *= t_end**alpha
-    return replace(
-        ens, positions=z, t=t_end, n_reflections=ens.n_reflections + reflections
-    )
+        for i in range(n_chunks):
+            run(i)
+    return replace(ens, positions=out, t=t_end)
 
 
 def step_ensemble(ens: PathEnsemble, sol: SimilaritySolution, dt: float) -> PathEnsemble:
-    """One weak Euler step from ``ens.t`` to ``ens.t + dt``, with reflection.
+    """One split step from ``ens.t`` to ``ens.t + dt``.
 
     The step is taken in the reduced coordinates over ds = ln((t + dt) / t).
-    Positions are taken to lie in the closed domain at ``ens.t``, as every
-    ensemble from ``init_ensemble``, ``step_ensemble`` and ``propagate``
-    does.
     """
     t = _require("ensemble time t", ens.t)
     dt = _require("dt", dt)
-    return _march(ens, sol, [t, t + dt])
+    return _march(ens, sol, t + dt, 1)
 
 
 def propagate(
-    ens: PathEnsemble, sol: SimilaritySolution, t_end: float, *, dt_max: float = 1e-3
+    ens: PathEnsemble, sol: SimilaritySolution, t_end: float, *, ds_max: float = DS_MAX
 ) -> PathEnsemble:
-    """March the ensemble to ``t_end`` in substeps.
+    """March the ensemble to ``t_end`` by the split step.
 
-    Substeps are capped at ``dt_max`` and so that the boundary moves by
-    less than a tenth of the domain width per step.  Width and boundary
-    speed both scale as t^alpha / t, so that cap is a fixed relative step
-    dt <= c t, with c from the reduced domain (a half line measured up to
-    ``effective_upper``).  The whole grid is built first, then every chunk
-    of paths runs over it in log-time.
+    The grid is uniform in log-time: k = ceil(ln(t_end / t) / ds_max) equal
+    steps.  The step's flows keep every path in the domain whatever ds is,
+    so ds_max bounds only the bias, which is of order ds^2.
     """
     t = _require("ensemble time t", ens.t)
     t_end = _require("t_end", t_end)
-    dt_max = _require("dt_max", dt_max)
+    ds_max = _require("ds_max", ds_max)
     if t_end <= t:
         raise ValueError("t_end must exceed the ensemble time")
-    z_lo, z_hi = sol.z_lo, effective_upper(sol)
-    reduced_speed = max(abs(sol.alpha * z_lo), abs(sol.alpha * z_hi))
-    c = math.inf if reduced_speed == 0.0 else 0.1 * (z_hi - z_lo) / reduced_speed
-    times = [t]
-    while t < t_end - 1e-15 * t_end:
-        t += min(dt_max, c * t, t_end - t)
-        times.append(t)
-    return _march(ens, sol, times)
+    return _march(ens, sol, t_end, math.ceil(math.log(t_end / t) / ds_max))
 
 
 def _binned_densities(

@@ -625,9 +625,9 @@ def effective_upper(sol: SimilaritySolution) -> float:
     """Upper end of the reduced domain, with a half line cut at ``TAIL_MASS``.
 
     The one place a half line is truncated: eval tables, histograms, the
-    PDE grid, the identity sample points and the Monte Carlo step cap all
-    end here.  Returns the finite endpoint unchanged for bounded domains;
-    otherwise a z whose analytic tail mass T(z) lies within 1e-9 relative
+    PDE grid and the identity sample points all end here.  Returns the
+    finite endpoint unchanged for bounded domains; otherwise a z whose
+    analytic tail mass T(z) lies within 1e-9 relative
     of ``TAIL_MASS (1 - 1e-8)``, so never above ``TAIL_MASS``.  The search
     is Newton on g = ln T - ln T* with g' = -y / T, from ``_tail_start``:
     y is log-concave, so is its tail, and a handful of tail quadratures

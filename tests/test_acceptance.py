@@ -183,7 +183,7 @@ def test_criterion_7_monte_carlo(presets):
     start = time.perf_counter()
     sol = presets["fig1"]
     ens = init_ensemble(sol, 200_000, 0.3, seed=20260808)
-    ens = propagate(ens, sol, 0.5, dt_max=5e-4)
+    ens = propagate(ens, sol, 0.5, ds_max=0.0025)
     dist_big = histogram_distance(ens, sol, 60)
 
     means = {}
@@ -191,7 +191,7 @@ def test_criterion_7_monte_carlo(presets):
         vals = []
         for seed in (1, 2, 3):
             e = init_ensemble(sol, n_paths, 0.3, seed=seed)
-            e = propagate(e, sol, 0.5, dt_max=5e-4)
+            e = propagate(e, sol, 0.5, ds_max=0.0025)
             vals.append(histogram_distance(e, sol, 60))
         means[n_paths] = float(np.mean(vals))
     ns = sorted(means)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.stats import chi2
 
 from fpmb import (
@@ -16,6 +17,7 @@ from fpmb import (
     boundary_positions,
     build_solution,
     coefficients,
+    effective_upper,
 )
 from fpmb import sde
 from fpmb.cli import load_preset_config
@@ -23,7 +25,6 @@ from fpmb.solutions import truncated_positions
 from fpmb.sde import (
     CHUNK_PATHS,
     PathEnsemble,
-    StepSizeError,
     histogram_distance,
     histogram_table,
     init_ensemble,
@@ -32,9 +33,10 @@ from fpmb.sde import (
 )
 
 
-def without_noise(sol):
-    """The model with rho2 = 0: a step moves each path by its drift alone."""
-    return dataclasses.replace(sol, diffusion_coefs=(0.0, 0.0, 0.0))
+def stratonovich_drift(sol):
+    """V0 = q - rho2'/2 as ascending coefficients (a, b, c)."""
+    slope = np.polynomial.polynomial.polyder(sol.diffusion_coefs)
+    return tuple(np.array(sol.drift_coefs) - 0.5 * np.append(slope, 0.0))
 
 
 class TestInit:
@@ -46,7 +48,6 @@ class TestInit:
             assert ens.positions.min() >= lo
             assert ens.positions.max() <= hi
             assert ens.t == 0.3
-            assert ens.n_reflections == 0
 
     def test_sampling_self_consistency(self, built_presets):
         # histogram straight after inverse-CDF sampling: multinomial noise only
@@ -92,8 +93,10 @@ class TestInitChunks:
         assert peak <= 8 * n + 4 * 8 * CHUNK_PATHS
 
     def test_propagate_peak_is_two_ensembles_plus_worker_buffers(self, built_presets):
-        """The input ensemble, its reduced copy, and per worker two float
-        buffers and a mask of one chunk each (counted as a third buffer)."""
+        """The input ensemble, the output it is mapped into chunk by chunk,
+        and per worker two float buffers of one chunk and three byte
+        buffers (two masks and the raw bits), together within three float
+        buffers."""
         sol, n = built_presets["fig1"], 10**6
         propagate(init_ensemble(sol, 3 * CHUNK_PATHS, 0.3, seed=1), sol, 0.302)
 
@@ -120,38 +123,12 @@ class TestStep:
             assert ens.positions.min() >= lo
             assert ens.positions.max() <= hi
 
-    def test_reflection_counter_monotone(self, built_presets):
-        # steps of 0.15 t mirror paths at fig5's finite end (the default
-        # grid mirrors none)
-        sol = built_presets["fig5"]
-        ens = init_ensemble(sol, 5000, 0.5, seed=6)
-        counts = [ens.n_reflections]
-        for _ in range(40):
-            ens = step_ensemble(ens, sol, 0.15 * ens.t)
-            counts.append(ens.n_reflections)
-        assert all(a <= b for a, b in zip(counts, counts[1:]))
-        assert counts[-1] > 0
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n_paths, seed, bad_step", [(5000, 6, 2), (20_000, 12, 0)])
-    def test_half_line_image_beyond_the_cut_rejected(self, built_presets, n_paths, seed,
-                                                     bad_step):
-        # steps of 0.2 t on fig5: a path mirrored at the finite end to beyond
-        # the truncation cut is rejected at that step, before any overflow
-        sol = built_presets["fig5"]
-        ens = init_ensemble(sol, n_paths, 0.5, seed=seed)
-        for _ in range(bad_step):
-            ens = step_ensemble(ens, sol, 0.2 * ens.t)
-        with pytest.raises(StepSizeError, match="crossed both boundaries"):
-            step_ensemble(ens, sol, 0.2 * ens.t)
-
     def test_particle_at_boundary_moves_inward(self, built_presets):
         sol = built_presets["fig1"]
         lo, hi = boundary_positions(sol, 0.3)
         ens = PathEnsemble(
             positions=np.array([lo, hi]),
             t=0.3,
-            n_reflections=0,
             rng=np.random.default_rng(0),
         )
         # relative drift at the endpoints points into the domain for this family
@@ -166,33 +143,32 @@ class TestStep:
         assert stepped.positions[1] <= hi2
 
     def test_zero_noise_matches_ode_oracle(self, built_presets):
-        sol = built_presets["fig1"]
-        drift_only = without_noise(sol)
-        x0 = np.array([0.15, 0.225, 0.32])
-        ens = PathEnsemble(
-            positions=x0.copy(), t=0.3, n_reflections=0,
-            rng=np.random.default_rng(0),
-        )
-        n_steps = 2000
-        dt = (0.5 - 0.3) / n_steps
-        for _ in range(n_steps):
-            ens = step_ensemble(ens, drift_only, dt)
+        """The drift step is the exact flow of V0 over h, and two half steps
+        make one step (fig1's V0 is affine, fig4's and fig5's quadratic)."""
 
-        def rhs(t, x):
-            d1, _ = coefficients(sol, x, t)
-            return d1
+        def flow(p, z):
+            a, b, c, d = p
+            return (a * z + b) / (c * z + d)
 
-        ref = solve_ivp(rhs, (0.3, 0.5), x0, rtol=1e-11, atol=1e-13).y[:, -1]
-        assert float(np.abs(ens.positions - ref).max()) <= 2e-4
+        h = 0.3
+        for name in ("fig1", "fig4", "fig5"):
+            sol = built_presets[name]
+            v0 = stratonovich_drift(sol)
+            z0 = np.linspace(sol.z_lo, effective_upper(sol), 7)
+            ref = solve_ivp(lambda s, z: np.polynomial.polynomial.polyval(z, v0), (0.0, h), z0,
+                            rtol=1e-12, atol=1e-14).y[:, -1]
+            full = sde._drift_map(*v0, h)
+            width = effective_upper(sol) - sol.z_lo
+            assert float(np.abs(flow(full, z0) - ref).max()) <= 1e-9 * width, name
+            half = sde._drift_map(*v0, 0.5 * h)
+            assert np.allclose(flow(half, flow(half, z0)), flow(full, z0), rtol=1e-14, atol=0.0)
 
-    def test_oversized_step_rejected(self, built_presets):
-        sol = built_presets["fig2"]
-        ens = PathEnsemble(
-            positions=np.array([3.9]), t=1.0, n_reflections=0,
-            rng=np.random.default_rng(0),
-        )
-        with pytest.raises(StepSizeError):
-            step_ensemble(ens, without_noise(sol), 4.0)
+    def test_noise_free_model_rejected(self, built_presets):
+        # rho2 = 0 has no circle or hyperbola to run along
+        sol = dataclasses.replace(built_presets["fig1"], diffusion_coefs=(0.0, 0.0, 0.0))
+        ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
+        with pytest.raises(ValueError, match="degree two"):
+            step_ensemble(ens, sol, 1e-3)
 
     def test_rejects_nonpositive_dt(self, built_presets):
         ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
@@ -200,30 +176,45 @@ class TestStep:
             step_ensemble(ens, built_presets["fig1"], 0.0)
 
 
+XI_LARGE, XI_SMALL = math.sqrt(1.0 + math.sqrt(6.0)), math.sqrt(1.0 - math.sqrt(2.0 / 3.0))
+
+
+def reference_xi(rng, n):
+    """xi per path from byte k of the spawned stream's raw words: bit 0 set
+    means positive, bits 1 and 2 both set mean |xi| large."""
+    words = rng.spawn(1)[0].bit_generator.random_raw(-(-n // 8))
+    byte = (words[:, None] >> np.arange(0, 64, 8, dtype=np.uint64)).ravel()[:n] & np.uint64(7)
+    table = np.array([-XI_SMALL, XI_SMALL] * 3 + [-XI_LARGE, XI_LARGE])
+    return table[byte.astype(np.intp)]
+
+
 def reference_step(ens, sol, dt):
-    """Weak Euler step in z = x / t^alpha over ds = ln((t + dt) / t), with
-    rho1 and rho2 read per path off coefficients(), a +-1 increment per path
-    from the bits of the spawned stream (bit k of the little-endian raw words
-    for path k, 1 meaning +1), and mirror reflection at the static reduced
-    endpoints."""
+    """Strang step in z = x / t^alpha over ds = ln((t + dt) / t): the drift
+    V0 = q - rho2'/2 moved by the matrix exponential of its linearized
+    Riccati system, and the diffusion field by the solution of
+    z'' = rho2'(z) started with speed sqrt(2 rho2), rho2 read per path off
+    coefficients(); then clamped to the static reduced endpoints."""
     t, alpha = ens.t, sol.alpha
     t_new = t + dt
     ds = math.log(t_new / t)
-    d1, d2 = coefficients(sol, ens.positions, t)
-    rho1 = d1 * t ** (1.0 - alpha)
-    rho2 = d2 * t ** (1.0 - 2.0 * alpha)
-    z = ens.positions / t**alpha
-    words = ens.rng.spawn(1)[0].bit_generator.random_raw(-(-z.size // 64))
-    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    noise = 2.0 * bits.ravel()[: z.size] - 1.0
-    z_new = z + (rho1 - alpha * z) * ds + np.sqrt(2.0 * np.maximum(rho2, 0.0) * ds) * noise
-    below = z_new < sol.z_lo
-    z_new[below] = 2.0 * sol.z_lo - z_new[below]
-    above = z_new > sol.z_hi
-    z_new[above] = 2.0 * sol.z_hi - z_new[above]
-    reflections = int(below.sum() + above.sum())
-    return dataclasses.replace(ens, positions=z_new * t_new**alpha, t=t_new,
-                               n_reflections=ens.n_reflections + reflections)
+    a, b, c = stratonovich_drift(sol)
+    (p, q), (r, u) = expm(0.5 * ds * np.array([[0.5 * b, a], [-c, -0.5 * b]]))
+
+    def half_drift(z):
+        return (p * z + q) / (r * z + u)
+
+    z = half_drift(ens.positions / t**alpha)
+    rho2 = coefficients(sol, z * t**alpha, t)[1] * t ** (1.0 - 2.0 * alpha)
+    slope = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(
+        sol.diffusion_coefs))
+    kappa = sol.diffusion_coefs[2]
+    omega = math.sqrt(2.0 * abs(kappa))
+    tau = math.sqrt(ds) * reference_xi(ens.rng, z.size)
+    cos, sin = (np.cos, np.sin) if kappa < 0 else (np.cosh, np.sinh)
+    z = (z + slope / (2.0 * kappa) * (cos(omega * tau) - 1.0)
+         + np.sqrt(2.0 * np.maximum(rho2, 0.0)) / omega * sin(omega * tau))
+    z = np.clip(half_drift(z), sol.z_lo, sol.z_hi)
+    return dataclasses.replace(ens, positions=z * t_new**alpha, t=t_new)
 
 
 def equivalence_models(built_presets):
@@ -249,8 +240,8 @@ def equivalence_models(built_presets):
 
 class TestQuadraticStepper:
     def test_matches_reference_step(self, built_presets):
-        # 100 default steps, which mirror no path, and one step of 0.15 t on
-        # fig5, which mirrors some
+        # 100 steps of dt = 1e-3, and one step of 0.15 t on fig5, which
+        # carries paths around the finite end
         runs = [(sol, t0, 1e-3, 100) for sol, t0 in equivalence_models(built_presets)]
         runs.append((built_presets["fig5"], 0.5, 0.075, 1))
         for sol, t0, dt, n_steps in runs:
@@ -262,20 +253,74 @@ class TestQuadraticStepper:
             lo, hi = truncated_positions(sol, ens.t)
             assert ens.t == ref.t
             assert float(np.abs(ens.positions - ref.positions).max()) <= 1e-12 * (hi - lo)
-            assert ens.n_reflections == ref.n_reflections
-        assert ens.n_reflections > 0
 
     def test_input_ensemble_unchanged(self, built_presets):
-        # a step of 0.15 t mirrors paths at fig5's finite end; at alpha = 0.2
-        # the boundary moves slowly enough that propagate takes that step too
-        sol = build_solution(0.2, PRESETS["fig5"].params)
+        sol = built_presets["fig5"]
         ens = init_ensemble(sol, 5000, 1.0, seed=13)
         before = ens.positions.copy()
-        stepped = step_ensemble(ens, sol, 0.15)
-        propagated = propagate(ens, sol, 1.15, dt_max=0.15)
-        assert stepped.n_reflections > 0 and propagated.n_reflections > 0
+        step_ensemble(ens, sol, 0.15)
+        propagate(ens, sol, 1.15, ds_max=0.05)
         assert np.array_equal(ens.positions, before)
-        assert ens.t == 1.0 and ens.n_reflections == 0
+        assert ens.t == 1.0
+
+
+def stress_models(built_presets):
+    """(solution, start time): the presets, a Class III model with both
+    roots of rho2 at 0, a steep Class II model and small endpoint exponents."""
+    return [(built_presets[name], PRESETS[name].times[0]) for name in PRESETS] + [
+        (build_solution(1.0, ClassIII(z1=0.0, a1=1.0, a2=1.0, beta=1.0)), 1.0),
+        (build_solution(1.0, ClassII(z2=2.0, a1=1.0, a2=1.0, beta=40.0)), 1.0),
+        (build_solution(2.0, ClassI(z1=1.0, z2=4.0, a1=0.4, a2=0.4)), 1.0),
+    ]
+
+
+class TestSplitStep:
+    @pytest.mark.parametrize("ds", [0.5, 0.2])
+    def test_coarse_steps_stay_in_domain(self, built_presets, monkeypatch, ds):
+        """20 steps of log-time ds: every path stays finite and, before the
+        final clamp, inside the reduced domain up to rounding."""
+        advance, worst = sde._advance, []
+
+        def checked(x, w, *args):
+            # errstate is per thread, and chunks run on the worker threads
+            with np.errstate(all="raise"):
+                advance(x, w, *args)
+            assert np.isfinite(w).all()
+            worst.append(max(sol.z_lo - w.min(), w.max() - sol.z_hi) / scale)
+
+        monkeypatch.setattr(sde, "_advance", checked)
+        for sol, t0 in stress_models(built_presets):
+            scale = max(1.0, abs(sol.z_lo), abs(effective_upper(sol)))
+            ens = init_ensemble(sol, 100_000, t0, seed=21)
+            with np.errstate(all="raise"):
+                for _ in range(20):
+                    ens = step_ensemble(ens, sol, ens.t * math.expm1(ds))
+            assert np.isfinite(ens.positions).all()
+        assert max(worst) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["fig1", "fig5"])
+    def test_diffusion_lowered_below_zero_near_the_ends(self, built_presets, name):
+        """A tampered rho2 that is negative near the endpoints has no real
+        V1 speed there: those paths get none, and no position turns NaN."""
+        sol = built_presets[name]
+        coefs = list(sol.diffusion_coefs)
+        coefs[0] -= 0.1 * max(map(abs, coefs))
+        tampered = dataclasses.replace(sol, diffusion_coefs=tuple(coefs))
+        ens = init_ensemble(sol, 3 * CHUNK_PATHS, PRESETS[name].times[0], seed=8)
+        out = propagate(ens, tampered, PRESETS[name].times[-1])
+        lo, hi = boundary_positions(sol, out.t)
+        assert lo <= out.positions.min() and out.positions.max() <= hi
+
+    def test_order_two(self, built_presets):
+        """Halving ds from 0.04 to 0.02 cuts fig1's chi-square excess by at
+        least 9x, an observed order of at least 1.58, at 1e6 paths."""
+        sol, cfg = built_presets["fig1"], load_preset_config("fig1")
+        excess = {}
+        for ds in (0.04, 0.02):
+            ens = init_ensemble(sol, 10**6, cfg.times[0], cfg.seed)
+            x2, df, _ = chi_square(propagate(ens, sol, cfg.times[-1], ds_max=ds), sol, cfg.n_bins)
+            excess[ds] = x2 - df
+        assert excess[0.04] >= 9.0 * excess[0.02], excess
 
 
 class TestReproducibility:
@@ -284,10 +329,9 @@ class TestReproducibility:
         runs = []
         for _ in range(2):
             ens = init_ensemble(sol, 2000, 0.3, seed=77)
-            ens = propagate(ens, sol, 0.45, dt_max=1e-3)
+            ens = propagate(ens, sol, 0.45)
             runs.append(ens)
         assert np.array_equal(runs[0].positions, runs[1].positions)
-        assert runs[0].n_reflections == runs[1].n_reflections
 
     def test_different_seeds_differ(self, built_presets):
         sol = built_presets["fig1"]
@@ -317,7 +361,6 @@ class TestChunkedEngine:
             sys.setswitchinterval(interval)
         for workers in (2, 4):
             assert np.array_equal(runs[workers].positions, runs[1].positions)
-            assert runs[workers].n_reflections == runs[1].n_reflections
             assert runs[workers].t == runs[1].t
 
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig5"])
@@ -325,7 +368,6 @@ class TestChunkedEngine:
         sol, t0 = built_presets[name], PRESETS[name].times[0]
         a, b = propagated(sol, t0, seed=41), propagated(sol, t0, seed=41)
         assert np.array_equal(a.positions, b.positions)
-        assert a.n_reflections == b.n_reflections
         c = propagated(sol, t0, seed=42)
         assert not np.array_equal(a.positions, c.positions)
 
@@ -349,28 +391,28 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("t", [math.nan, 0.0, -1.0])
     def test_ensemble_time(self, built_presets, t):
         sol = built_presets["fig2"]  # alpha < 0: t = 0 has no finite t^alpha
-        ens = PathEnsemble(positions=np.array([2.0]), t=t, n_reflections=0,
-                           rng=np.random.default_rng(0))
+        ens = PathEnsemble(positions=np.array([2.0]), t=t, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="ensemble time"):
             step_ensemble(ens, sol, 1e-3)
         with pytest.raises(ValueError, match="ensemble time"):
             propagate(ens, sol, 1.0)
 
-    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    @pytest.mark.parametrize("noise", [1.0, 0.5])
     def test_nan_position_fails_the_boundary_tests(self, built_presets, noise):
         sol = built_presets["fig1"]
+        sol = dataclasses.replace(sol, diffusion_coefs=tuple(noise * c for c in sol.diffusion_coefs))
         ens = init_ensemble(sol, 100, 0.3, seed=1)
         positions = ens.positions.copy()
         positions[57] = math.nan
         ens = dataclasses.replace(ens, positions=positions)
         with pytest.raises(RuntimeError, match="NaN"):
-            step_ensemble(ens, sol if noise else without_noise(sol), 1e-3)
+            step_ensemble(ens, sol, 1e-3)
 
     @pytest.mark.parametrize("name, kwargs", [
         ("t_end", {"t_end": math.nan}),
         ("t_end", {"t_end": math.inf}),
-        ("dt_max", {"dt_max": math.nan}),
-        ("dt_max", {"dt_max": 0.0}),
+        ("ds_max", {"ds_max": math.nan}),
+        ("ds_max", {"ds_max": 0.0}),
     ])
     def test_propagate_arguments(self, built_presets, name, kwargs):
         ens = init_ensemble(built_presets["fig1"], 10, 0.3, seed=1)
@@ -396,7 +438,7 @@ class TestHistogram:
     def test_propagated_ensemble_matches_analytic_density(self, built_presets):
         sol = built_presets["fig1"]
         ens = init_ensemble(sol, 50_000, 0.3, seed=9)
-        ens = propagate(ens, sol, 0.5, dt_max=5e-4)
+        ens = propagate(ens, sol, 0.5, ds_max=0.0025)
         assert histogram_distance(ens, sol, 60) <= 0.05
 
     def test_quadrupling_paths_halves_distance(self, built_presets):
@@ -406,7 +448,7 @@ class TestHistogram:
             vals = []
             for seed in range(5):
                 ens = init_ensemble(sol, n, 0.3, seed=seed)
-                ens = propagate(ens, sol, 0.5, dt_max=1e-3)
+                ens = propagate(ens, sol, 0.5)
                 vals.append(histogram_distance(ens, sol, 40))
             dists[n] = float(np.mean(vals))
         ratio = dists[4000] / dists[16000]
@@ -425,7 +467,7 @@ class TestHistogram:
     def test_half_line_histogram(self, built_presets):
         sol = built_presets["fig5"]
         ens = init_ensemble(sol, 20_000, 0.5, seed=8)
-        ens = propagate(ens, sol, 0.7, dt_max=1e-3)
+        ens = propagate(ens, sol, 0.7)
         assert histogram_distance(ens, sol, 40) <= 0.08
 
     def test_validation(self, built_presets):
@@ -433,10 +475,7 @@ class TestHistogram:
         ens = init_ensemble(sol, 100, 0.3, seed=1)
         with pytest.raises(ValueError):
             histogram_distance(ens, sol, 5)
-        empty = PathEnsemble(
-            positions=np.array([]), t=0.3, n_reflections=0,
-            rng=np.random.default_rng(0),
-        )
+        empty = PathEnsemble(positions=np.array([]), t=0.3, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             histogram_distance(empty, sol, 20)
 
@@ -458,10 +497,6 @@ class TestChiSquareJudge:
     """Pearson's X^2 on the verify ensembles: quiet on the untampered
     presets, loud on a changed diffusion profile or a coarse step."""
 
-    def test_default_grid_reflects_no_path(self, verify_runs):
-        assert {name: ens.n_reflections for name, ens in verify_runs.items()} == dict.fromkeys(
-            verify_runs, 0)
-
     def test_untampered_runs_pass(self, built_presets, verify_runs):
         for name, ens in verify_runs.items():
             x2, df, p = chi_square(ens, built_presets[name], load_preset_config(name).n_bins)
@@ -478,6 +513,6 @@ class TestChiSquareJudge:
 
     def test_coarse_step_bias_fails(self, built_presets):
         sol = built_presets["fig1"]
-        ens = verify_run("fig1", sol, dt_max=8e-3)
+        ens = verify_run("fig1", sol, ds_max=0.04)
         x2, df, p = chi_square(ens, sol, load_preset_config("fig1").n_bins)
         assert p < 1e-12, (x2, df)
