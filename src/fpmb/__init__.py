@@ -10,7 +10,6 @@ solver, and Monte Carlo path sampling.
 from .scaling import (
     check_alpha,
     drift_from_f,
-    similarity_variable,
 )
 from .solutions import (
     PRESETS,
@@ -48,7 +47,6 @@ from .specfun import (
 
 __all__ = [
     "check_alpha",
-    "similarity_variable",
     "drift_from_f",
     "ClassI",
     "ClassII",

@@ -16,6 +16,10 @@ to diffusion ratio (rho2' - q) / rho2 is exactly -f = -y'/y, so the
 Peclet number integrated across a face is a difference of log y and needs
 no quadrature.  Evolution must conserve mass to roundoff and
 relax onto y; that is the verification.
+
+A field is a plain array of cell values.  ``evolve`` takes a whole number
+of steps from s = 0 with one factorization and returns the final values
+with the worst one-step relative mass drift it measured.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -49,7 +54,6 @@ from .solutions import (
 
 __all__ = [
     "ZGrid",
-    "FieldOnGrid",
     "DiscreteOperator",
     "make_grid",
     "transformed_operator",
@@ -97,17 +101,6 @@ def make_grid(sol: SimilaritySolution, n_cells: int) -> ZGrid:
     applied at the truncation face.
     """
     return ZGrid(sol.z_lo, effective_upper(sol), n_cells)
-
-
-@dataclass(frozen=True)
-class FieldOnGrid:
-    """Cell densities at logarithmic time s = ln t."""
-
-    values: np.ndarray
-    time_s: float
-
-    def mass(self, grid: ZGrid) -> float:
-        return float(self.values.sum() * grid.h)
 
 
 def _bernoulli(x: np.ndarray) -> np.ndarray:
@@ -243,7 +236,7 @@ def splu(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> SimpleNamesp
     LAPACK ``dgttrf`` factors once and ``dgttrs`` solves; both come from
     ``_tridiagonal_lapack``, loaded on the first factorization.  The name is
     kept from the sparse LU it replaced: ``evolve`` looks it up as a module
-    global once per step size, so that perfbench's tracer can rebind it to
+    global once per call, so that perfbench's tracer can rebind it to
     count factorizations and the solves of what it returns.
     """
     dgttrf, dgttrs = _tridiagonal_lapack()
@@ -260,23 +253,27 @@ _BLOCK_VALUES = 16_000
 
 def evolve(
     op: DiscreteOperator,
-    u0: FieldOnGrid,
-    s_end: float,
+    u0: np.ndarray,
+    n_steps: int,
     ds: float,
     *,
     on_step: Callable[[float, float, np.ndarray], None] | None = None,
-) -> FieldOnGrid:
-    """Implicit-Euler evolution of ``u0`` up to logarithmic time ``s_end``.
+) -> tuple[np.ndarray, float]:
+    """Implicit-Euler evolution of the cell values ``u0`` over ``n_steps``
+    steps of logarithmic time ``ds``, from s = 0.
 
-    Each step solves (I - ds L) u_new = u_old.  A step whose relative mass
-    drift exceeds ``0.1 * MASS_DRIFT_TOL`` gets one pass of iterative
-    refinement in double, its residual taken in flux form
-    (``DiscreteOperator.apply``); a drift beyond ``MASS_DRIFT_TOL`` after
-    it, or a negative cell value, aborts with an error since both indicate
-    a misconfigured operator.  The face fluxes telescope, so no column-sum
-    defect of the double assembly enters the residual's sum and no
-    extended precision is needed.  ``on_step`` receives (s, mass, values)
-    after every step, in order, with each step's own array.
+    Returns the final cell values and the worst relative one-step mass
+    drift |m_k - m_{k-1}| / m_{k-1}, each step's drift taken after its
+    refinement.  Each step solves (I - ds L) u_new = u_old with the one
+    factorization of the call.  A step whose drift exceeds
+    ``0.1 * MASS_DRIFT_TOL`` gets one pass of iterative refinement in
+    double, its residual taken in flux form (``DiscreteOperator.apply``); a
+    drift beyond ``MASS_DRIFT_TOL`` after it, or a negative cell value,
+    aborts with an error since both indicate a misconfigured operator.  The
+    face fluxes telescope, so no column-sum defect of the double assembly
+    enters the residual's sum and no extended precision is needed.
+    ``on_step`` receives (s, mass, values) after every step, in order, with
+    each step's own array.
 
     The steps run in blocks of plain solves whose masses and minima are
     taken in one reduction each.  A block keeps every step up to the first
@@ -288,94 +285,88 @@ def evolve(
     """
     if not 0.0 < ds < math.inf:
         raise ValueError(f"need a finite ds > 0, got {ds!r}")
-    if not math.isfinite(s_end):
-        raise ValueError(f"need a finite s_end, got {s_end!r}")
-    if s_end < u0.time_s:
-        raise ValueError("s_end lies before the initial time")
-    u = np.asarray(u0.values, dtype=float).copy()
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValueError(f"need a whole number n_steps >= 1, got {n_steps!r}")
+    u = np.asarray(u0, dtype=float).copy()
     if u.shape != (op.grid.n_cells,):
         raise ValueError("field does not match the grid")
     if not np.all(u >= 0.0):  # NaN fails too
         raise ValueError("initial field must be non-negative")
 
-    s = u0.time_s
-    remaining = s_end - s
-    n_full = int(math.floor(remaining / ds + 1e-12))
-    tail = remaining - n_full * ds
-    plan: list[tuple[float, int]] = []
-    if n_full:
-        plan.append((ds, n_full))
-    if tail > 1e-12 * max(1.0, abs(s_end)):
-        plan.append((tail, 1))
-
     n = op.grid.n_cells
     h = op.grid.h
-    lower, diag, upper = op.lower[1:], op.diag, op.upper[:-1]
+    lu = splu(-ds * op.lower[1:], 1.0 - ds * op.diag, -ds * op.upper[:-1])
     mass_before = u.sum() * h
-
-    for step_ds, count in plan:
-        lu = splu(-step_ds * lower, 1.0 - step_ds * diag, -step_ds * upper)
-        size, max_size = 1, max(1, _BLOCK_VALUES // n)
-        while count:
-            # a fresh block per run of plain solves, since on_step callers may
-            # keep rows; a run of one step, as in stiff runs, needs no copy
-            if size == 1:
-                block = lu.solve(u)[None]
-            else:
-                block = np.empty((min(size, count), n))
-                prev = u
-                for row in block:
-                    row[:] = prev = lu.solve(prev)
-            masses = block.sum(axis=1) * h
-            minima = None
-            for k, (v, mass_after) in enumerate(zip(block, masses)):
+    s = worst = 0.0
+    count = n_steps
+    size, max_size = 1, max(1, _BLOCK_VALUES // n)
+    while count:
+        # a fresh block per run of plain solves, since on_step callers may
+        # keep rows; a run of one step, as in stiff runs, needs no copy
+        if size == 1:
+            block = lu.solve(u)[None]
+        else:
+            block = np.empty((min(size, count), n))
+            prev = u
+            for row in block:
+                row[:] = prev = lu.solve(prev)
+        masses = block.sum(axis=1) * h
+        minima = None
+        for k, (v, mass_after) in enumerate(zip(block, masses)):
+            drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
+            refined = not drift <= 0.1 * MASS_DRIFT_TOL
+            if refined:
+                # refine this step from its plain solve; the rows after it
+                # were solved from its unrefined value and are dropped
+                v += lu.solve(u - v + ds * op.apply(v))
+                mass_after = v.sum() * h
                 drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
-                refined = not drift <= 0.1 * MASS_DRIFT_TOL
-                if refined:
-                    # refine this step from its plain solve; the rows after it
-                    # were solved from its unrefined value and are dropped
-                    v += lu.solve(u - v + step_ds * op.apply(v))
-                    mass_after = v.sum() * h
-                    drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
-                    if not drift <= MASS_DRIFT_TOL:  # NaN fails too
-                        raise RuntimeError(
-                            f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL} in one step"
-                        )
-                    v_min = v.min()
-                else:
-                    # taken once a kept step needs them: a block of one step
-                    # that refines never does
-                    if minima is None:
-                        minima = block.min(axis=1)
-                    v_min = minima[k]
-                # a non-negative minimum needs no maximum
-                if v_min < 0.0 and v_min < -1e-12 * max(v.max(), 1e-300):
-                    raise RuntimeError("positivity violated; the operator is misconfigured")
-                u = v
-                mass_before = mass_after
-                s += step_ds
-                count -= 1
-                if on_step is not None:
-                    on_step(s, mass_after, u)
-                if refined:
-                    break
-            size = 1 if refined else min(2 * size, max_size)
-    return FieldOnGrid(values=u, time_s=s_end)
+                if not drift <= MASS_DRIFT_TOL:  # NaN fails too
+                    raise RuntimeError(
+                        f"mass drift {drift:.3e} exceeds {MASS_DRIFT_TOL} in one step"
+                    )
+                v_min = v.min()
+            else:
+                # taken once a kept step needs them: a block of one step
+                # that refines never does
+                if minima is None:
+                    minima = block.min(axis=1)
+                v_min = minima[k]
+            # a non-negative minimum needs no maximum
+            if v_min < 0.0 and v_min < -1e-12 * max(v.max(), 1e-300):
+                raise RuntimeError("positivity violated; the operator is misconfigured")
+            u = v
+            mass_before = mass_after
+            worst = max(worst, drift)
+            s += ds
+            count -= 1
+            if on_step is not None:
+                on_step(s, mass_after, u)
+            if refined:
+                break
+        size = 1 if refined else min(2 * size, max_size)
+    return u, float(worst)
 
 
-def stationary_field(sol: SimilaritySolution, grid: ZGrid) -> FieldOnGrid:
+def stationary_field(sol: SimilaritySolution, grid: ZGrid) -> np.ndarray:
     """Analytic reduced density sampled at cell centers."""
-    return FieldOnGrid(values=reduced_density(sol, grid.centers), time_s=0.0)
+    return reduced_density(sol, grid.centers)
 
 
-def uniform_field(grid: ZGrid) -> FieldOnGrid:
+def uniform_field(grid: ZGrid) -> np.ndarray:
     """Unit-mass uniform initial condition."""
-    values = np.full(grid.n_cells, 1.0 / (grid.z_hi - grid.z_lo))
-    return FieldOnGrid(values=values, time_s=0.0)
+    return np.full(grid.n_cells, 1.0 / (grid.z_hi - grid.z_lo))
 
 
 def l1_distance(a: np.ndarray, b: np.ndarray, grid: ZGrid) -> float:
     return float(np.abs(np.asarray(a) - np.asarray(b)).sum() * grid.h)
+
+
+def _check_steps(h: float, dt: float) -> None:
+    """Rejects a stencil step h or dt that is not finite and positive."""
+    for name, value in (("h", h), ("dt", dt)):
+        if not 0.0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"need a finite {name} > 0, got {value!r}")
 
 
 def fpe_residual_at(sol: SimilaritySolution, x, t: float, h: float, dt: float):
@@ -386,6 +377,7 @@ def fpe_residual_at(sol: SimilaritySolution, x, t: float, h: float, dt: float):
     The coefficients and the density are evaluated once on the stacked
     stencil [x - h, x, x + h].
     """
+    _check_steps(h, dt)
     if t - dt <= 0.0:
         raise ValueError("need t - dt > 0")
     x = np.asarray(x, dtype=float)
@@ -402,9 +394,7 @@ def fpe_residual_at(sol: SimilaritySolution, x, t: float, h: float, dt: float):
 
 def probe_window(sol: SimilaritySolution, t: float, h: float, dt: float) -> tuple[float, float]:
     """Interval staying strictly inside the moving domain for t-dt..t+dt."""
-    for name, value in (("h", h), ("dt", dt)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"need a finite {name} > 0, got {value!r}")
+    _check_steps(h, dt)
     los, his = [], []
     for tt in (t - dt, t, t + dt):
         lo, hi = truncated_positions(sol, tt)

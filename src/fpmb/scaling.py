@@ -17,7 +17,6 @@ from numpy.polynomial import polynomial as P
 
 __all__ = [
     "check_alpha",
-    "similarity_variable",
     "drift_from_f",
 ]
 
@@ -29,15 +28,6 @@ def check_alpha(alpha: float) -> float:
     if not math.isfinite(alpha) or alpha == 0.0:
         raise ValueError(f"alpha must be finite and nonzero, got {alpha!r}")
     return alpha
-
-
-def similarity_variable(x, t, alpha: float):
-    """Reduced coordinate z = x / t^alpha; requires finite t > 0."""
-    t = np.asarray(t, dtype=float)
-    if not np.all((t > 0.0) & (t < math.inf)):
-        raise ValueError(f"similarity_variable needs a finite t > 0, got t={t.tolist()!r}")
-    z = np.asarray(x, dtype=float) / t**alpha
-    return float(z) if z.ndim == 0 else z
 
 
 def drift_from_f(f_rho2, rho2) -> np.ndarray:

@@ -279,16 +279,20 @@ def _march(ens: PathEnsemble, sol: SimilaritySolution, t_end: float, k: int) -> 
     out = np.empty_like(x)
     n_chunks = -(-x.size // CHUNK_PATHS)
     rngs = ens.rng.spawn(n_chunks)
+    # np.errstate does not reach pool threads: each chunk runs under the
+    # caller's settings
+    errors = np.geterr()
 
     def run(i: int) -> None:
         part = slice(i * CHUNK_PATHS, (i + 1) * CHUNK_PATHS)
         w = out[part]
-        _advance(x[part], w, rngs[i], maps, kappa, r2, rotation)
-        # rounding can leave a path an ulp outside; NaN only from the input
-        np.clip(w, z_lo, z_hi, out=w)
-        if math.isnan(w.min()):
-            raise RuntimeError("a path position became NaN")
-        w *= t_alpha
+        with np.errstate(**errors):
+            _advance(x[part], w, rngs[i], maps, kappa, r2, rotation)
+            # rounding can leave a path an ulp outside; NaN only from the input
+            np.clip(w, z_lo, z_hi, out=w)
+            if math.isnan(w.min()):
+                raise RuntimeError("a path position became NaN")
+            w *= t_alpha
 
     workers = min(_worker_count(), n_chunks)
     if workers > 1:

@@ -110,14 +110,6 @@ class ClassI:
         if not self.z1 < self.z2:
             raise ValueError(f"need z1 < z2, got z1={self.z1!r}, z2={self.z2!r}")
 
-    @property
-    def subclass(self) -> str:
-        if self.z1 == 0.0 or self.z2 == 0.0:
-            return "ii"
-        if self.z1 < 0.0 < self.z2:
-            return "iii"
-        return "i"
-
     def linear_factors(self):
         """Pearson form: (factors, rate, z_lo, z_hi) of (z - z1)^a1 (z2 - z)^a2."""
         return ((self.z1, 1.0, self.a1), (self.z2, -1.0, self.a2)), 0.0, self.z1, self.z2
@@ -199,9 +191,9 @@ class SimilaritySolution:
     from the factors at build time; they are the drift and diffusion of the
     reduced process, and the only representation of the two profiles.
     Neither depends on ``alpha``, the scaling exponent of x = z t^alpha.
-    ``norm_A`` is the normalization in use (``norm_A_source`` says which
-    route produced it); both routes are retained so their agreement can be
-    asserted independently.
+    ``norm_A`` is the normalization in use: ``norm_A_closed`` on a finite
+    domain, ``norm_A_quadrature`` on a half line; both routes are retained
+    so their agreement can be asserted independently.
     """
 
     alpha: float
@@ -213,7 +205,6 @@ class SimilaritySolution:
     drift_coefs: tuple[float, float, float]
     diffusion_coefs: tuple[float, float, float]
     norm_A: float
-    norm_A_source: str
     norm_A_closed: float
     norm_A_quadrature: float
 
@@ -394,7 +385,6 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
         drift_coefs=_quadratic_tuple(drift_from_f(f_rho2, rho2_coefs)),
         diffusion_coefs=_quadratic_tuple(rho2_coefs),
         norm_A=math.nan,
-        norm_A_source="",
         norm_A_closed=math.nan,
         norm_A_quadrature=math.nan,
     )
@@ -418,14 +408,9 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
             f"vs quadrature {norm_quad!r} (rel {rel:.3e})"
         )
 
-    if math.isinf(z_hi):
-        norm_a, source = norm_quad, "quadrature"
-    else:
-        norm_a, source = norm_closed, "closed_form"
     return dataclasses.replace(
         shape,
-        norm_A=norm_a,
-        norm_A_source=source,
+        norm_A=norm_quad if math.isinf(z_hi) else norm_closed,
         norm_A_closed=norm_closed,
         norm_A_quadrature=norm_quad,
     )

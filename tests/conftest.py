@@ -91,48 +91,42 @@ def reference_closed_norm():
     return _reference_closed_norm
 
 
-def _reference_evolve(op, u0, s_end, ds, *, on_step=None):
+def _reference_evolve(op, u0, n_steps, ds, *, on_step=None):
     """Implicit Euler one step at a time, refining each step on its own.
 
-    The plain loop that ``pde.evolve`` does in blocks: the same plan, the
-    same factorization through ``pde.splu`` and the same flux-form
-    refinement pass, so its steps, masses, errors and solves are the ones
-    ``evolve`` must reproduce.
+    The plain loop that ``pde.evolve`` does in blocks: the same
+    factorization through ``pde.splu``, the same flux-form refinement pass
+    and the same drift bookkeeping, so its steps, masses, errors, solves and
+    (final values, worst drift) are the ones ``evolve`` must reproduce.
     """
     from fpmb import pde
 
-    u = np.asarray(u0.values, dtype=float).copy()
-    s = u0.time_s
-    remaining = s_end - s
-    n_full = int(math.floor(remaining / ds + 1e-12))
-    tail = remaining - n_full * ds
-    plan = [(ds, n_full)] if n_full else []
-    if tail > 1e-12 * max(1.0, abs(s_end)):
-        plan.append((tail, 1))
+    u = np.asarray(u0, dtype=float).copy()
+    s = worst = 0.0
     h = op.grid.h
     mass_before = u.sum() * h
-    for step_ds, count in plan:
-        lu = pde.splu(-step_ds * op.lower[1:], 1.0 - step_ds * op.diag, -step_ds * op.upper[:-1])
-        for _ in range(count):
-            v = lu.solve(u)
+    lu = pde.splu(-ds * op.lower[1:], 1.0 - ds * op.diag, -ds * op.upper[:-1])
+    for _ in range(n_steps):
+        v = lu.solve(u)
+        mass_after = v.sum() * h
+        drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
+        if not drift <= 0.1 * pde.MASS_DRIFT_TOL:
+            v = v + lu.solve(u - v + ds * op.apply(v))
             mass_after = v.sum() * h
             drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
-            if not drift <= 0.1 * pde.MASS_DRIFT_TOL:
-                v = v + lu.solve(u - v + step_ds * op.apply(v))
-                mass_after = v.sum() * h
-                drift = abs(mass_after - mass_before) / max(abs(mass_before), 1e-300)
-            if not drift <= pde.MASS_DRIFT_TOL:
-                raise RuntimeError(
-                    f"mass drift {drift:.3e} exceeds {pde.MASS_DRIFT_TOL} in one step"
-                )
-            if v.min() < -1e-12 * max(v.max(), 1e-300):
-                raise RuntimeError("positivity violated; the operator is misconfigured")
-            u = v
-            mass_before = mass_after
-            s += step_ds
-            if on_step is not None:
-                on_step(s, mass_after, u)
-    return u
+        if not drift <= pde.MASS_DRIFT_TOL:
+            raise RuntimeError(
+                f"mass drift {drift:.3e} exceeds {pde.MASS_DRIFT_TOL} in one step"
+            )
+        if v.min() < -1e-12 * max(v.max(), 1e-300):
+            raise RuntimeError("positivity violated; the operator is misconfigured")
+        u = v
+        mass_before = mass_after
+        worst = max(worst, drift)
+        s += ds
+        if on_step is not None:
+            on_step(s, mass_after, u)
+    return u, float(worst)
 
 
 @pytest.fixture(scope="session")
@@ -143,8 +137,6 @@ def reference_evolve():
 
 def _triangle_field(grid, *, peak="left"):
     """Unit-mass triangular initial condition peaked at one end."""
-    from fpmb.pde import FieldOnGrid
-
     x = (grid.centers - grid.z_lo) / (grid.z_hi - grid.z_lo)
     if peak == "left":
         values = 2.0 * (1.0 - x)
@@ -152,8 +144,7 @@ def _triangle_field(grid, *, peak="left"):
         values = 2.0 * x
     else:
         raise ValueError(f"peak must be 'left' or 'right', got {peak!r}")
-    values = values / (values.sum() * grid.h)
-    return FieldOnGrid(values=values, time_s=0.0)
+    return values / (values.sum() * grid.h)
 
 
 @pytest.fixture(scope="session")

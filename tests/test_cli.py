@@ -636,6 +636,41 @@ class TestVerify:
         assert m == pytest.approx(1.0, abs=1e-10)
         assert l1 <= 1e-2
 
+    @pytest.mark.parametrize("n_cells", [400, 1600])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_pde_checks_read_the_step_by_step_loop(self, name, n_cells, reference_evolve,
+                                                   monkeypatch):
+        """pde_mass_drift is the worst drift ``evolve`` returns and the
+        --pde-log rows come from its steps: both equal those of the
+        step-by-step oracle, with and without the log."""
+        cfg = dataclasses.replace(load_preset_config(name), n_cells=n_cells)
+        rows = []
+        logged = {r.name: r.measured for r in run_checks(cfg, pde_log_rows=rows)}
+        unlogged = {r.name: r.measured for r in run_checks(cfg)}
+
+        sol = cfg.build()
+        grid = pde.make_grid(sol, n_cells)
+        target = pde.stationary_field(sol, grid)
+        factorize, solves, expected_rows = pde.splu, [], []
+
+        def counting(*args):
+            lu = factorize(*args)
+            return type(lu)(solve=lambda rhs: solves.append(1) or lu.solve(rhs))
+
+        def record(s, m, v):
+            expected_rows.append(",".join(_fmt(x) for x in (s, m, pde.l1_distance(v, target, grid))))
+
+        monkeypatch.setattr(pde, "splu", counting)
+        final, worst = reference_evolve(pde.transformed_operator(sol, grid),
+                                        pde.uniform_field(grid), 200, 0.05, on_step=record)
+        l1 = pde.l1_distance(final, target, grid)
+        for measured in (logged, unlogged):
+            assert measured["pde_mass_drift"].hex() == worst.hex()
+            assert measured["pde_attractor_l1"].hex() == l1.hex()
+        assert rows == expected_rows
+        if n_cells == 1600 and name in ("fig2", "fig4"):
+            assert len(solves) == 2 * 200  # every step refines
+
 
 class TestRaisingChecks:
     """A check that raises fails on its own; the others still report."""

@@ -11,7 +11,6 @@ from fpmb.solutions import TAIL_MASS, truncated_positions
 from fpmb.pde import (
     MASS_DRIFT_TOL,
     DiscreteOperator,
-    FieldOnGrid,
     ZGrid,
     evolve,
     fpe_residual_at,
@@ -69,14 +68,14 @@ class TestOperator:
         op = transformed_operator(built_presets["fig1"], grid)
         u0 = uniform_field(grid)
         masses = []
-        evolve(op, u0, 0.05, 0.05, on_step=lambda s, m, v: masses.append(m))
-        assert abs(masses[-1] - u0.mass(grid)) <= 1e-14
+        evolve(op, u0, 1, 0.05, on_step=lambda s, m, v: masses.append(m))
+        assert abs(masses[-1] - u0.sum() * grid.h) <= 1e-14
 
     def test_stationary_profile_has_zero_flux(self, built_presets):
         for sol in built_presets.values():
             grid = make_grid(sol, 100)
             op = transformed_operator(sol, grid)
-            y = stationary_field(sol, grid).values
+            y = stationary_field(sol, grid)
             flux_scale = float(np.max(grid.h * op.coeff_right * np.append(y, 0.0)))
             assert float(np.abs(op.face_flux(y)).max()) <= 1e-12 * max(flux_scale, 1.0)
 
@@ -86,7 +85,7 @@ class TestOperator:
             for n in (100, 200, 400):
                 grid = make_grid(sol, n)
                 op = transformed_operator(sol, grid)
-                y = stationary_field(sol, grid).values
+                y = stationary_field(sol, grid)
                 l1 = float(np.abs(op.apply(y)).sum() * grid.h)
                 assert l1 <= 1e-2 * grid.h**2
 
@@ -153,9 +152,8 @@ class TestEvolve:
         grid = make_grid(sol, 400)
         op = transformed_operator(sol, grid)
         y = stationary_field(sol, grid)
-        y0 = FieldOnGrid(y.values / (y.values.sum() * grid.h), 0.0)
-        final = evolve(op, y0, 10.0, 0.05)
-        assert l1_distance(final.values, y.values, grid) <= 5e-4
+        final, _ = evolve(op, y / (y.sum() * grid.h), 200, 0.05)
+        assert l1_distance(final, y, grid) <= 5e-4
 
     def test_uniform_start_reaches_stationary(self, built_presets):
         sol = built_presets["fig1"]
@@ -163,17 +161,17 @@ class TestEvolve:
         op = transformed_operator(sol, grid)
         u0 = uniform_field(grid)
         drifts = []
-        masses = [u0.mass(grid)]
+        masses = [u0.sum() * grid.h]
 
         def record(s, m, v):
             drifts.append(abs(m - masses[-1]))
             masses.append(m)
 
-        final = evolve(op, u0, 10.0, 0.05, on_step=record)
-        y = stationary_field(sol, grid).values
-        assert l1_distance(final.values, y, grid) <= 1e-3
+        final, _ = evolve(op, u0, 200, 0.05, on_step=record)
+        y = stationary_field(sol, grid)
+        assert l1_distance(final, y, grid) <= 1e-3
         assert max(drifts) <= 1e-12
-        assert final.values.min() >= 0.0
+        assert final.min() >= 0.0
 
     @pytest.mark.parametrize("ds", [0.05, 1.0])
     @pytest.mark.parametrize("n_cells", [400, 1600])
@@ -183,13 +181,13 @@ class TestEvolve:
         op = transformed_operator(sol, grid)
         u0 = uniform_field(grid)
         drifts = []
-        masses = [u0.mass(grid)]
+        masses = [u0.sum() * grid.h]
 
         def record(s, m, v):
             drifts.append(abs(m - masses[-1]))
             masses.append(m)
 
-        evolve(op, u0, 3.0, ds, on_step=record)
+        evolve(op, u0, round(3.0 / ds), ds, on_step=record)
         assert max(drifts) <= 1e-12
 
     def test_distinct_initial_conditions_converge_together(self, built_presets, triangle_field):
@@ -197,7 +195,7 @@ class TestEvolve:
         grid = make_grid(sol, 200)
         op = transformed_operator(sol, grid)
         finals = [
-            evolve(op, ic, 10.0, 0.05).values
+            evolve(op, ic, 200, 0.05)[0]
             for ic in (
                 uniform_field(grid),
                 triangle_field(grid, peak="left"),
@@ -218,9 +216,8 @@ class TestEvolve:
                 grid = make_grid(sol, n)
                 op = transformed_operator(sol, grid)
                 y = stationary_field(sol, grid)
-                y0 = FieldOnGrid(y.values / (y.values.sum() * grid.h), 0.0)
-                final = evolve(op, y0, 10.0, 0.1)
-                errs.append(l1_distance(final.values, y.values, grid))
+                final, _ = evolve(op, y / (y.sum() * grid.h), 100, 0.1)
+                errs.append(l1_distance(final, y, grid))
             orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
             assert min(orders) >= 1.8
 
@@ -229,20 +226,19 @@ class TestEvolve:
         grid = make_grid(sol, 64)
         op = transformed_operator(sol, grid)
         with pytest.raises(ValueError):
-            evolve(op, uniform_field(grid), 1.0, 0.0)
+            evolve(op, uniform_field(grid), 10, 0.0)
         with pytest.raises(ValueError):
-            evolve(op, FieldOnGrid(np.ones(10), 0.0), 1.0, 0.1)
-        bad = FieldOnGrid(-uniform_field(grid).values, 0.0)
+            evolve(op, np.ones(10), 10, 0.1)
         with pytest.raises(ValueError):
-            evolve(op, bad, 1.0, 0.1)
+            evolve(op, -uniform_field(grid), 10, 0.1)
 
     def test_nan_initial_field_rejected(self, built_presets):
         sol = built_presets["fig1"]
         grid = make_grid(sol, 64)
-        values = uniform_field(grid).values.copy()
+        values = uniform_field(grid)
         values[5] = math.nan
         with pytest.raises(ValueError, match="non-negative"):
-            evolve(transformed_operator(sol, grid), FieldOnGrid(values, 0.0), 1.0, 0.1)
+            evolve(transformed_operator(sol, grid), values, 10, 0.1)
 
     def test_nan_operator_fails_the_mass_drift_test(self, built_presets):
         sol = built_presets["fig1"]
@@ -252,7 +248,7 @@ class TestEvolve:
         coeff_right[10] = math.nan
         with pytest.raises(RuntimeError, match="mass drift nan"):
             evolve(DiscreteOperator(grid, coeff_right, op.coeff_left),
-                   uniform_field(grid), 1.0, 0.1)
+                   uniform_field(grid), 10, 0.1)
 
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
     def test_needs_no_extended_precision(self, built_presets, name, monkeypatch):
@@ -263,27 +259,29 @@ class TestEvolve:
         grid = make_grid(sol, 1600)
         u0 = uniform_field(grid)
         drifts = []
-        masses = [u0.mass(grid)]
+        masses = [u0.sum() * grid.h]
 
         def record(s, m, v):
             drifts.append(abs(m - masses[-1]) / masses[-1])
             masses.append(m)
 
-        evolve(transformed_operator(sol, grid), u0, 10.0, 1.0, on_step=record)
+        evolve(transformed_operator(sol, grid), u0, 10, 1.0, on_step=record)
         assert len(drifts) == 10
         assert max(drifts) <= 0.1 * MASS_DRIFT_TOL
 
-    @pytest.mark.parametrize("name, s_end, ds", [
-        ("ds", 1.0, math.nan),
-        ("ds", 1.0, math.inf),
-        ("s_end", math.nan, 0.1),
-        ("s_end", math.inf, 0.1),
-    ])
-    def test_rejects_non_finite_time_arguments(self, built_presets, name, s_end, ds):
+    @pytest.mark.parametrize("ds", [math.nan, math.inf])
+    def test_rejects_non_finite_time_arguments(self, built_presets, ds):
         sol = built_presets["fig1"]
         grid = make_grid(sol, 64)
-        with pytest.raises(ValueError, match=name):
-            evolve(transformed_operator(sol, grid), uniform_field(grid), s_end, ds)
+        with pytest.raises(ValueError, match="ds"):
+            evolve(transformed_operator(sol, grid), uniform_field(grid), 10, ds)
+
+    @pytest.mark.parametrize("n_steps", [0, -1, 2.5, 10.0, math.nan, math.inf])
+    def test_rejects_bad_step_count(self, built_presets, n_steps):
+        sol = built_presets["fig1"]
+        grid = make_grid(sol, 64)
+        with pytest.raises(ValueError, match="n_steps"):
+            evolve(transformed_operator(sol, grid), uniform_field(grid), n_steps, 0.1)
 
 
 class TestEvolveMatchesDenseSolve:
@@ -317,11 +315,11 @@ class TestEvolveMatchesDenseSolve:
             factorizations.clear()
             steps = []
             u0 = uniform_field(grid)
-            evolve(op, u0, 10 * ds, ds, on_step=lambda s, m, v: steps.append((m, v.copy())))
+            evolve(op, u0, 10, ds, on_step=lambda s, m, v: steps.append((m, v.copy())))
             assert len(steps) == 10
             assert len(factorizations) == 1
             system = np.eye(n) - ds * lap
-            u, mass_before = u0.values, u0.mass(grid)
+            u, mass_before = u0, u0.sum() * grid.h
             for mass_after, v in steps:
                 expected = np.linalg.solve(system, u)
                 expected = expected + np.linalg.solve(
@@ -364,6 +362,13 @@ class TestResidualOriginalCoordinates:
         with pytest.raises(ValueError, match=f"finite {name} "):
             probe_window(built_presets["fig1"], 0.5, h, dt)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["h", "dt"])
+    def test_residual_names_bad_step(self, built_presets, name, value):
+        steps = {"h": 0.01, "dt": 0.01, name: value}
+        with pytest.raises(ValueError, match=f"finite {name} "):
+            fpe_residual_at(built_presets["fig1"], 2.0, 0.5, steps["h"], steps["dt"])
+
 
 class TestEvolveMatchesStepByStep:
     """``evolve`` does its step bookkeeping in blocks; its steps, masses,
@@ -371,9 +376,9 @@ class TestEvolveMatchesStepByStep:
     (``reference_evolve``), to the bit."""
 
     @staticmethod
-    def _run(fn, op, u0, s_end, ds, monkeypatch):
-        """(on_step arguments, final values or the error, solves), solves
-        counted through ``pde.splu``."""
+    def _run(fn, op, u0, n_steps, ds, monkeypatch):
+        """(on_step arguments, (final values, worst drift) or the error,
+        solves), solves counted through ``pde.splu``."""
         from fpmb import pde
 
         factorize = pde.splu
@@ -386,7 +391,7 @@ class TestEvolveMatchesStepByStep:
         monkeypatch.setattr(pde, "splu", counting)
         steps = []
         try:
-            out = fn(op, u0, s_end, ds, on_step=lambda s, m, v: steps.append((s, m, v)))
+            out = fn(op, u0, n_steps, ds, on_step=lambda s, m, v: steps.append((s, m, v)))
         except RuntimeError as exc:
             out = str(exc)
         monkeypatch.setattr(pde, "splu", factorize)
@@ -409,12 +414,14 @@ class TestEvolveMatchesStepByStep:
         grid = make_grid(sol, n_cells)
         op = transformed_operator(sol, grid)
         u0 = uniform_field(grid)
-        steps, final, solves = self._run(evolve, op, u0, 10.0, ds, monkeypatch)
-        expected, expected_final, expected_solves = self._run(
-            reference_evolve, op, u0, 10.0, ds, monkeypatch)
+        n_steps = round(10.0 / ds)
+        steps, (final, worst), solves = self._run(evolve, op, u0, n_steps, ds, monkeypatch)
+        expected, (expected_final, expected_worst), expected_solves = self._run(
+            reference_evolve, op, u0, n_steps, ds, monkeypatch)
         self._assert_same_steps(steps, expected)
-        assert np.array_equal(final.values, expected_final)
-        assert final.time_s == 10.0
+        assert np.array_equal(final, expected_final)
+        assert worst.hex() == expected_worst.hex()
+        assert len(steps) == n_steps
         # a refined step drops the plain solves made after it in its block,
         # so only a run whose steps switch from plain to refined solves more
         assert expected_solves <= solves <= 1.05 * expected_solves
@@ -445,8 +452,8 @@ class TestEvolveMatchesStepByStep:
 
             bad = Skewed(grid, op.coeff_right, op.coeff_left)
         u0 = uniform_field(grid)
-        steps, error, _ = self._run(evolve, bad, u0, 10.0, 0.05, monkeypatch)
-        expected, expected_error, _ = self._run(reference_evolve, bad, u0, 10.0, 0.05, monkeypatch)
+        steps, error, _ = self._run(evolve, bad, u0, 200, 0.05, monkeypatch)
+        expected, expected_error, _ = self._run(reference_evolve, bad, u0, 200, 0.05, monkeypatch)
         assert error.startswith(message)
         assert error == expected_error
         self._assert_same_steps(steps, expected)

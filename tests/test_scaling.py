@@ -16,7 +16,7 @@ from fpmb import (
     interior_points,
 )
 from fpmb.solutions import f
-from fpmb.scaling import check_alpha, drift_from_f, similarity_variable
+from fpmb.scaling import check_alpha, drift_from_f
 
 
 class TestMakeExponents:
@@ -28,44 +28,6 @@ class TestMakeExponents:
             check_alpha(alpha)
         with pytest.raises(ValueError, match="alpha"):
             build_solution(alpha, PRESETS["fig1"].params)
-
-
-class TestSimilarityVariable:
-    def test_examples(self):
-        assert similarity_variable(4.0, 1.0, 2.0) == 4.0
-        assert similarity_variable(1.0, 0.5, 2.0) == 4.0
-        assert similarity_variable(1.0, 0.5, -2.0) == 0.25
-
-    def test_rejects_nonpositive_time(self):
-        with pytest.raises(ValueError):
-            similarity_variable(1.0, 0.0, 2.0)
-        with pytest.raises(ValueError):
-            similarity_variable(1.0, -1.0, 2.0)
-
-    @pytest.mark.parametrize("t", [math.inf, math.nan])
-    def test_rejects_non_finite_time(self, t):
-        with pytest.raises(ValueError, match="t="):
-            similarity_variable(1.0, t, 2.0)
-
-    @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
-    @pytest.mark.parametrize("x,t", [(4.0, 1.0), (1.0, 0.5), (-3.0, 2.0)])
-    def test_scaling_covariance_exact(self, lam, x, t):
-        # dyadic inputs: the rescaled evaluation is the same rounded value
-        alpha = 2.0
-        assert similarity_variable(lam**alpha * x, lam * t, alpha) == similarity_variable(
-            x, t, alpha
-        )
-
-    def test_scaling_covariance_generic_inputs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = rng.uniform(-5.0, 5.0)
-            t = rng.uniform(0.1, 3.0)
-            alpha = rng.choice([-2.0, -0.5, 1.0, 2.0])
-            for lam in (0.5, 2.0, 10.0):
-                a = similarity_variable(lam**alpha * x, lam * t, alpha)
-                b = similarity_variable(x, t, alpha)
-                assert a == pytest.approx(b, rel=5e-15, abs=5e-15)
 
 
 def assert_transcribed(sol, transcribed_profiles):

@@ -363,6 +363,24 @@ class TestChunkedEngine:
             assert np.array_equal(runs[workers].positions, runs[1].positions)
             assert runs[workers].t == runs[1].t
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_run_under_the_callers_errstate(self, built_presets, monkeypatch, workers):
+        """np.errstate does not reach pool threads by itself: every chunk,
+        inline or threaded, sees the caller's settings."""
+        advance, seen = sde._advance, []
+
+        def recording(*args):
+            seen.append(np.geterr()["invalid"])
+            return advance(*args)
+
+        monkeypatch.setattr(sde, "_advance", recording)
+        monkeypatch.setattr(sde, "_worker_count", lambda: workers)
+        sol = built_presets["fig1"]
+        ens = init_ensemble(sol, 3 * CHUNK_PATHS, 0.3, seed=5)
+        with np.errstate(all="raise"):
+            propagate(ens, sol, 0.31)
+        assert seen == ["raise"] * 3
+
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig5"])
     def test_seed_fixes_results(self, built_presets, name):
         sol, t0 = built_presets[name], PRESETS[name].times[0]

@@ -77,12 +77,6 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {params[name]!r}$"):
             family(**params)
 
-    def test_subclass_labels(self):
-        assert ClassI(z1=1.0, z2=4.0, a1=1.0, a2=1.0).subclass == "i"
-        assert ClassI(z1=-4.0, z2=-1.0, a1=1.0, a2=1.0).subclass == "i"
-        assert ClassI(z1=0.0, z2=4.0, a1=1.0, a2=1.0).subclass == "ii"
-        assert ClassI(z1=-2.0, z2=4.0, a1=1.0, a2=1.0).subclass == "iii"
-
     def test_build_rejects_zero_alpha(self):
         with pytest.raises(ValueError):
             build_solution(0.0, ClassI(z1=-1.0, z2=1.0, a1=1.0, a2=1.0))
@@ -94,11 +88,11 @@ class TestBuild:
         sol = build_solution(2.0, ClassI(z1=-1.0, z2=1.0, a1=1.0, a2=1.0))
         assert sol.norm_A == pytest.approx(0.75, rel=1e-12)
         assert sol.norm_A_quadrature == pytest.approx(0.75, rel=1e-11)
-        assert sol.norm_A_source == "closed_form"
+        assert sol.norm_A == sol.norm_A_closed
 
     def test_half_line_uses_quadrature(self, built_presets):
         sol = built_presets["fig5"]
-        assert sol.norm_A_source == "quadrature"
+        assert sol.norm_A == sol.norm_A_quadrature
         rel = abs(sol.norm_A_closed - sol.norm_A_quadrature) / sol.norm_A_quadrature
         assert rel <= 1e-8
 
