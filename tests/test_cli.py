@@ -53,10 +53,6 @@ class TestConfig:
             n_paths=4567,
             seed=42,
             n_bins=33,
-            tol_mass=2e-8,
-            tol_identity=3e-10,
-            tol_attractor=2e-3,
-            tol_histogram=0.04,
         )
         assert parse_config(format_config(cfg)) == cfg
 
@@ -128,6 +124,7 @@ class TestConfig:
 
 
 _FIG1_TEXT = TestConfig._FIG1_TEXT
+_TOL_KEYS = ["tol_mass", "tol_identity", "tol_attractor", "tol_histogram"]
 _FIG5_TEXT = "class = III\nalpha = 1.0\nz1 = 0.5\na1 = 1.0\na2 = 1.0\nbeta = 1.0\ntimes = 0.3\n"
 
 
@@ -182,15 +179,18 @@ class TestBadValues:
         assert _config_exit(tmp_path, text).startswith("times must be")
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("key", ["tol_mass", "tol_identity", "tol_attractor", "tol_histogram"])
+    @pytest.mark.parametrize("key", _TOL_KEYS)
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e-8", "0.0"])
     def test_tolerances_finite_and_positive(self, key, value):
-        with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+        """A check's bound is a finite, positive class constant, and a config
+        line that would move it is refused as an unknown key on its line."""
+        assert 0.0 < getattr(RunConfig, key) < math.inf
+        with pytest.raises(ValueError, match=f"^line 8: unknown key '{key}'$"):
             parse_config(_with(_FIG1_TEXT, **{key: value}))
 
     def test_nan_tol_mass_exits_naming_the_key(self, tmp_path, capsys):
         message = _config_exit(tmp_path, _with(_FIG1_TEXT, tol_mass="nan"))
-        assert message == "tol_mass must be finite and positive, got nan"
+        assert message == "line 8: unknown key 'tol_mass'"
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("text, name", [
@@ -204,6 +204,87 @@ class TestBadValues:
     def test_non_finite_family_parameter(self, text, name, tmp_path, capsys):
         assert _config_exit(tmp_path, text) == f"{name} must be finite, got inf"
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text, preset, family, key", [
+        pytest.param(_with(_FIG5_TEXT, z2="9.0"), "fig5", "III", "z2", id="III-z2"),
+        pytest.param(_with(_FIG1_TEXT, beta="0.5"), "fig1", "I", "beta", id="I-beta"),
+        pytest.param("class = II\nalpha = 1.0\nz1 = 0.5\nz2 = 1.0\na1 = 1.0\na2 = 1.0\n"
+                     "beta = 0.5\ntimes = 0.3\n", "fig4", "II", "z1", id="II-z1"),
+    ])
+    def test_parameter_the_family_does_not_take(self, text, preset, family, key,
+                                                tmp_path, capsys):
+        message = f"class {family} does not take {key}"
+        assert _config_exit(tmp_path, text) == message
+        assert capsys.readouterr().out == ""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(load_preset_config(preset), **{key: 0.5})
+
+    @pytest.mark.parametrize("times", ["0.3", "0.5, 0.3", "0.3, 0.3"])
+    def test_sample_needs_times_that_end_after_they_start(self, times, tmp_path, capsys):
+        path = tmp_path / "times.cfg"
+        path.write_text(_with(_FIG5_TEXT, times=times))
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--config", str(path)])
+        assert exc.value.code == f"sample needs times that end after they start, got times = {times}"
+        assert capsys.readouterr().out == ""
+
+
+class TestBadArguments:
+    """A preset that does not exist, or a file that cannot be opened, ends
+    the run with one message that names it, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["eval", "verify", "sample"])
+    def test_unknown_preset_is_an_argparse_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "fig9"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--preset" in captured.err and "'fig9'" in captured.err
+        assert captured.out == ""
+        with pytest.raises(KeyError, match="unknown preset 'fig9'"):
+            load_preset_config("fig9")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["verify", "--config", "{missing}.cfg"], id="config"),
+        pytest.param(["eval", "--preset", "fig1", "--out", "{missing}/x.csv"], id="eval-out"),
+        pytest.param(["verify", "--preset", "fig1", "--pde-log", "{missing}/x.csv"], id="pde-log"),
+    ])
+    def test_file_that_cannot_be_opened_exits_naming_it(self, argv, tmp_path, capsys):
+        argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == f"{argv[-1]}: No such file or directory"
+        assert capsys.readouterr().out == ""
+
+
+class TestFixedBounds:
+    """The checks' acceptance bounds are constants of RunConfig, not settings
+    of a run: neither a config line nor an argument in code can move them."""
+
+    @pytest.mark.parametrize("key", _TOL_KEYS)
+    def test_tol_argument_is_a_type_error(self, key):
+        with pytest.raises(TypeError, match=key):
+            RunConfig(class_name="I", alpha=2.0, a1=1.0, a2=0.5, times=(0.3,),
+                      z1=1.0, z2=4.0, **{key: 1e-8})
+        with pytest.raises(TypeError, match=key):
+            dataclasses.replace(load_preset_config("fig1"), **{key: 1e-8})
+
+    def test_bounds_and_printed_thresholds(self, capsys):
+        assert [getattr(RunConfig, key) for key in _TOL_KEYS] == [1e-8, 1e-10, 1e-3, 0.05]
+        assert len(dataclasses.fields(RunConfig)) == 13
+        main(["verify", "--preset", "fig1", "--with-sde", "--paths", "2000"])
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert {line.split()[1]: line.split("threshold ", 1)[1] for line in lines} == {
+            "normalization": "<= 1e-08",
+            "norm_constant_agreement": "<= 1e-10",
+            "first_integral_identity": "<= 1e-10",
+            "reduced_ode_residual": "<= 1e-10",
+            "current_consistency": "<= 1e-10",
+            "fpe_residual_order": "in [1.8, 2.2]",
+            "pde_attractor_l1": "<= 0.001",
+            "pde_mass_drift": f"<= {pde.MASS_DRIFT_TOL:g}",
+            "sde_histogram_l1": "<= 0.05",
+        }
 
 
 class TestFlagsMatchConfigKeys:
