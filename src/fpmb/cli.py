@@ -9,12 +9,13 @@ significant digits so downstream diffs are meaningful.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -205,43 +206,21 @@ class CheckResult:
     error: str | None = None
 
 
-def _at_most(name: str, measured: float, bound: float) -> CheckResult:
-    return CheckResult(name, measured, f"<= {bound:g}", measured <= bound)
-
-
 def _worst_relative(res, scale) -> float:
     """Largest |res| / scale, with the scale kept off zero."""
     return float(np.max(np.abs(res) / np.maximum(scale, 1e-300)))
 
 
-def check_normalization(sol: SimilaritySolution, times: Sequence[float], tol: float) -> CheckResult:
-    return _at_most("normalization", max(abs(mass(sol, t) - 1.0) for t in times), tol)
-
-
-def check_norm_agreement(sol: SimilaritySolution) -> CheckResult:
-    rel = abs(sol.norm_A_closed - sol.norm_A_quadrature) / sol.norm_A_quadrature
-    return _at_most("norm_constant_agreement", rel, 1e-8 if math.isinf(sol.z_hi) else 1e-10)
-
-
-def check_first_integral(sol: SimilaritySolution, tol: float) -> CheckResult:
-    worst = _worst_relative(*first_integral_residual(sol, interior_points(sol, 1000)))
-    return _at_most("first_integral_identity", worst, tol)
-
-
-def check_reduced_ode(sol: SimilaritySolution, tol: float) -> CheckResult:
-    worst = _worst_relative(*reduced_ode_residual(sol, interior_points(sol, 1000)))
-    return _at_most("reduced_ode_residual", worst, tol)
-
-
-def check_current_consistency(sol: SimilaritySolution, t: float, tol: float) -> CheckResult:
+def _current_gap(sol: SimilaritySolution, t: float) -> float:
+    """Worst relative gap between the closed-form current and its definition."""
     x = interior_points(sol, 1000) * t**sol.alpha
     a = np.asarray(current(sol, x, t))
     b = np.asarray(current_from_definition(sol, x, t))
-    return _at_most("current_consistency", _worst_relative(a - b, np.abs(a) + np.abs(b)), tol)
+    return _worst_relative(a - b, np.abs(a) + np.abs(b))
 
 
-def check_fpe_residual_order(sol: SimilaritySolution, t: float) -> CheckResult:
-    """Convergence order of the forward-equation residual stencil.
+def _residual_orders(sol: SimilaritySolution, t: float) -> list[float]:
+    """Convergence orders of the forward-equation residual stencil.
 
     Residual ratios under simultaneous halving of the space and time steps
     should be 4.0 +/- 0.4 (order two) at interior probe points.
@@ -254,18 +233,14 @@ def check_fpe_residual_order(sol: SimilaritySolution, t: float) -> CheckResult:
     probes = [window[0] + f * (window[1] - window[0]) for f in (0.35, 0.62)]
     r1 = pde.fpe_residual_at(sol, probes, t, h, dt)
     r2 = pde.fpe_residual_at(sol, probes, t, 0.5 * h, 0.5 * dt)
-    orders = [math.log2(abs(a) / abs(b)) for a, b in zip(r1, r2)]
-    worst = max(orders, key=lambda o: abs(o - 2.0))
-    passed = all(1.8 <= o <= 2.2 for o in orders)
-    return CheckResult("fpe_residual_order", worst, "in [1.8, 2.2]", passed)
+    return [math.log2(abs(a) / abs(b)) for a, b in zip(r1, r2)]
 
 
-def check_pde_attractor(
-    sol: SimilaritySolution,
-    n_cells: int,
-    tol: float,
-    log_rows: list[str] | None = None,
-) -> tuple[CheckResult, CheckResult]:
+def _pde_relaxation(sol: SimilaritySolution, n_cells: int,
+                    log_rows: list[str] | None) -> tuple[float, float]:
+    """L1 distance to the stationary field after 200 steps from a uniform
+    start, and the worst one-step mass drift; appends a log row per step
+    when ``log_rows`` is a list."""
     grid = pde.make_grid(sol, n_cells)
     op = pde.transformed_operator(sol, grid)
     target = pde.stationary_field(sol, grid)
@@ -276,39 +251,20 @@ def check_pde_attractor(
             log_rows.append(",".join(_fmt(v) for v in (s, m, l1)))
 
     final, drift = pde.evolve(op, pde.uniform_field(grid), 200, 0.05, on_step=on_step)
-    return (
-        _at_most("pde_attractor_l1", pde.l1_distance(final, target, grid), tol),
-        _at_most("pde_mass_drift", drift, pde.MASS_DRIFT_TOL),
-    )
+    return pde.l1_distance(final, target, grid), drift
 
 
-def check_sde_histogram(
-    sol: SimilaritySolution,
-    t0: float,
-    t1: float,
-    n_paths: int,
-    n_bins: int,
-    seed: int,
-    tol: float,
-) -> CheckResult:
-    ens = sde.init_ensemble(sol, n_paths, t0, seed)
-    ens = sde.propagate(ens, sol, t1)
-    return _at_most("sde_histogram_l1", sde.histogram_distance(ens, sol, n_bins), tol)
+def _histogram_l1(sol: SimilaritySolution, cfg: RunConfig) -> float:
+    """L1 distance between the Monte Carlo histogram at the last time and
+    the density, for paths drawn from it at the first."""
+    ens = sde.init_ensemble(sol, cfg.n_paths, cfg.times[0], cfg.seed)
+    ens = sde.propagate(ens, sol, cfg.times[-1])
+    return sde.histogram_distance(ens, sol, cfg.n_bins)
 
 
 # the errors the library raises on numerics it cannot carry out
 # (ConvergenceError is a RuntimeError)
 _CHECK_ERRORS = (ValueError, RuntimeError, np.linalg.LinAlgError)
-
-
-def _reported(names: tuple[str, ...], run) -> list[CheckResult]:
-    """The results of ``run()``, or one failed result per name if it raised."""
-    try:
-        out = run()
-    except _CHECK_ERRORS as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        return [CheckResult(name, math.inf, "n/a", False, error) for name in names]
-    return [out] if isinstance(out, CheckResult) else list(out)
 
 
 def run_checks(
@@ -317,27 +273,51 @@ def run_checks(
     with_sde: bool = False,
     pde_log_rows: list[str] | None = None,
 ) -> list[CheckResult]:
-    """All verification checks for one config.  Failures are collected, never
-    short-circuited: a check that raises fails, and the others still run."""
+    """All verification checks for one config, in report order.
+
+    Each entry of the table pairs its checks with their bounds, and its
+    measurement returns one value per check.  A bound is an upper bound, or
+    a (lo, hi) window that every value of a list must lie in; the value
+    farthest from the window's centre is reported.  Failures are collected,
+    never short-circuited: a measurement that raises fails its checks, and
+    the others still run.
+    """
     sol = cfg.build()
     t_mid = cfg.times[len(cfg.times) // 2]
-    checks = [
-        (("normalization",), lambda: check_normalization(sol, cfg.times, cfg.tol_mass)),
-        (("norm_constant_agreement",), lambda: check_norm_agreement(sol)),
-        (("first_integral_identity",), lambda: check_first_integral(sol, cfg.tol_identity)),
-        (("reduced_ode_residual",), lambda: check_reduced_ode(sol, cfg.tol_identity)),
-        (("current_consistency",),
-         lambda: check_current_consistency(sol, t_mid, cfg.tol_identity)),
-        (("fpe_residual_order",), lambda: check_fpe_residual_order(sol, t_mid)),
-        (("pde_attractor_l1", "pde_mass_drift"),
-         lambda: check_pde_attractor(sol, cfg.n_cells, cfg.tol_attractor,
-                                     log_rows=pde_log_rows)),
+    table = [
+        ([("normalization", cfg.tol_mass)],
+         lambda: [max(abs(mass(sol, t) - 1.0) for t in cfg.times)]),
+        ([("norm_constant_agreement", 1e-8 if math.isinf(sol.z_hi) else 1e-10)],
+         lambda: [abs(sol.norm_A_closed - sol.norm_A_quadrature) / sol.norm_A_quadrature]),
+        ([("first_integral_identity", cfg.tol_identity)],
+         lambda: [_worst_relative(*first_integral_residual(sol, interior_points(sol, 1000)))]),
+        ([("reduced_ode_residual", cfg.tol_identity)],
+         lambda: [_worst_relative(*reduced_ode_residual(sol, interior_points(sol, 1000)))]),
+        ([("current_consistency", cfg.tol_identity)], lambda: [_current_gap(sol, t_mid)]),
+        ([("fpe_residual_order", (1.8, 2.2))], lambda: [_residual_orders(sol, t_mid)]),
+        ([("pde_attractor_l1", cfg.tol_attractor), ("pde_mass_drift", pde.MASS_DRIFT_TOL)],
+         lambda: _pde_relaxation(sol, cfg.n_cells, pde_log_rows)),
     ]
     if with_sde:
-        checks.append((("sde_histogram_l1",), lambda: check_sde_histogram(
-            sol, cfg.times[0], cfg.times[-1], cfg.n_paths, cfg.n_bins, cfg.seed,
-            cfg.tol_histogram)))
-    return [r for names, run in checks for r in _reported(names, run)]
+        table.append(([("sde_histogram_l1", cfg.tol_histogram)],
+                      lambda: [_histogram_l1(sol, cfg)]))
+    results = []
+    for checks, measure in table:
+        try:
+            values = measure()
+        except _CHECK_ERRORS as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            results += [CheckResult(name, math.inf, "n/a", False, error) for name, _ in checks]
+            continue
+        for (name, bound), value in zip(checks, values, strict=True):
+            if isinstance(bound, tuple):
+                lo, hi = bound
+                worst = max(value, key=lambda v: abs(v - 0.5 * (lo + hi)))
+                results.append(CheckResult(name, worst, f"in [{lo:g}, {hi:g}]",
+                                           all(lo <= v <= hi for v in value)))
+            else:
+                results.append(CheckResult(name, value, f"<= {bound:g}", value <= bound))
+    return results
 
 
 _NUMBER_SPEC = ".17g"
@@ -364,16 +344,30 @@ def _open(path: str, mode: str = "r"):
         raise SystemExit(f"{path}: {exc.strerror}") from None
 
 
-def _write_rows(path: str | None, header: str, blocks: Iterable[str]) -> None:
+def _output(path: str | None):
+    """The file a command writes to, opened before any work is done, so an
+    unwritable path ends the run at once; like a shell redirection it is
+    created or truncated, and left empty by a run that fails later.
+    Standard output when ``path`` is None."""
+    return contextlib.nullcontext(sys.stdout) if path is None else _open(path, "w")
+
+
+def _write_rows(out: TextIO, header: str, blocks: Iterable[str]) -> None:
     """Write the header line, then each block of newline-terminated rows."""
-    out = sys.stdout if path is None else _open(path, "w")
+    out.write(header + "\n")
+    for block in blocks:
+        out.write(block)
+
+
+@contextlib.contextmanager
+def _model_errors(args: argparse.Namespace):
+    """A model the library cannot build (its normalization quadrature fails,
+    say) ends the run with one line that names its config."""
     try:
-        out.write(header + "\n")
-        for block in blocks:
-            out.write(block)
-    finally:
-        if path is not None:
-            out.close()
+        yield
+    except _CHECK_ERRORS as exc:
+        source = args.config or args.preset
+        raise SystemExit(f"{source}: {type(exc).__name__}: {exc}") from None
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -397,25 +391,29 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    sol = cfg.build()
-    blocks = []
-    for t in cfg.times:
-        lo, hi = truncated_positions(sol, t)
-        x = np.linspace(lo, hi, args.points)
-        w = density(sol, x, t)
-        d1, d2 = coefficients(sol, x, t)
-        blocks.append(_csv_block((np.full_like(x, t), x, w, current(sol, x, t, w), d1, d2)))
-    _write_rows(cfg.out, "t,x,W,J,D1,D2", blocks)
+    with _output(cfg.out) as out:
+        with _model_errors(args):
+            sol = cfg.build()
+        blocks = []
+        for t in cfg.times:
+            lo, hi = truncated_positions(sol, t)
+            x = np.linspace(lo, hi, args.points)
+            w = density(sol, x, t)
+            d1, d2 = coefficients(sol, x, t)
+            blocks.append(_csv_block((np.full_like(x, t), x, w, current(sol, x, t, w), d1, d2)))
+        _write_rows(out, "t,x,W,J,D1,D2", blocks)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     log_rows: list[str] | None = [] if args.pde_log else None
-    results = run_checks(cfg, with_sde=args.with_sde, pde_log_rows=log_rows)
-    if args.pde_log:
-        _write_rows(args.pde_log, "s,mass,l1_to_stationary",
-                    ["".join(row + "\n" for row in log_rows)])
+    with _output(args.pde_log) as log:
+        # run_checks fails a check that raises, so what reaches here is the build's
+        with _model_errors(args):
+            results = run_checks(cfg, with_sde=args.with_sde, pde_log_rows=log_rows)
+        if log_rows is not None:
+            _write_rows(log, "s,mass,l1_to_stationary", ["".join(row + "\n" for row in log_rows)])
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -431,11 +429,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if cfg.times[-1] <= cfg.times[0]:
         raise SystemExit("sample needs times that end after they start, "
                          f"got times = {', '.join(map(repr, cfg.times))}")
-    sol = cfg.build()
-    ens = sde.init_ensemble(sol, cfg.n_paths, cfg.times[0], cfg.seed)
-    ens = sde.propagate(ens, sol, cfg.times[-1])
-    block = _csv_block(sde.histogram_table(ens, sol, cfg.n_bins))
-    _write_rows(cfg.out, "bin_center,empirical_density,analytic_density", [block])
+    with _output(cfg.out) as out:
+        with _model_errors(args):
+            sol = cfg.build()
+        ens = sde.init_ensemble(sol, cfg.n_paths, cfg.times[0], cfg.seed)
+        ens = sde.propagate(ens, sol, cfg.times[-1])
+        block = _csv_block(sde.histogram_table(ens, sol, cfg.n_bins))
+        _write_rows(out, "bin_center,empirical_density,analytic_density", [block])
     dist = sde.histogram_distance(ens, sol, cfg.n_bins)
     print(f"paths={cfg.n_paths} l1_distance={dist:.6f}", file=sys.stderr)
     return 0

@@ -292,20 +292,18 @@ def _domain_quadrature(sol: SimilaritySolution, g, scale: float, k: int,
     lo = sol.z_lo * scale
     if math.isinf(sol.z_hi):
         split = _tail_start(sol, k) * scale
-        left = integrate_adaptive(g, lo, split, 0.0, rtol=rtol,
-                                  endpoint_power=endpoint_power(sol.z_lo))
-        right = integrate_adaptive(g, split, math.inf, 0.0, rtol=rtol)
+        left = integrate_adaptive(g, lo, split, rtol, endpoint_power=endpoint_power(sol.z_lo))
+        right = integrate_adaptive(g, split, math.inf, rtol)
         return _combine(left, right)
 
     hi = sol.z_hi * scale
     mid = 0.5 * (sol.z_lo + sol.z_hi) * scale
-    left = integrate_adaptive(g, lo, mid, 0.0, rtol=rtol,
-                              endpoint_power=endpoint_power(sol.z_lo))
+    left = integrate_adaptive(g, lo, mid, rtol, endpoint_power=endpoint_power(sol.z_lo))
 
     def reflected(u):
         return g(hi - np.asarray(u, dtype=float))
 
-    right = integrate_adaptive(reflected, 0.0, hi - mid, 0.0, rtol=rtol,
+    right = integrate_adaptive(reflected, 0.0, hi - mid, rtol,
                                endpoint_power=endpoint_power(sol.z_hi))
     return _combine(left, right)
 
@@ -629,7 +627,7 @@ def effective_upper(sol: SimilaritySolution) -> float:
     lo, hi = sol.z_lo, math.inf
     z = _tail_start(sol)
     for _ in range(_TAIL_MAX_STEPS):
-        tail = integrate_adaptive(integrand, z, math.inf, 0.0, rtol=_TAIL_RTOL).value
+        tail = integrate_adaptive(integrand, z, math.inf, _TAIL_RTOL).value
         g = math.log(tail) - log_target if tail > 0.0 else -math.inf
         if abs(g) <= _TAIL_LOG_TOL:
             return z

@@ -78,7 +78,7 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     )
 
 
-def tricomi_u(a: float, b: float, x: float, *, rtol: float = 1e-11) -> float:
+def tricomi_u(a: float, b: float, x: float) -> float:
     """Tricomi confluent hypergeometric function U(a, b, x), a > 0, x > 0.
 
     Evaluated from the Laplace integral representation
@@ -100,7 +100,7 @@ def tricomi_u(a: float, b: float, x: float, *, rtol: float = 1e-11) -> float:
             logv = -x * t + (a - 1.0) * np.log(t) + c * np.log1p(t)
         return np.exp(logv)
 
-    res = integrate_adaptive(integrand, 0.0, math.inf, 0.0, rtol=rtol, endpoint_power=a - 1.0)
+    res = integrate_adaptive(integrand, 0.0, math.inf, 1e-11, endpoint_power=a - 1.0)
     if not res.converged:
         raise ConvergenceError(
             f"tricomi_u({a}, {b}, {x}): quadrature stalled with error estimate "
@@ -176,7 +176,7 @@ _WGK = np.concatenate([_GK_WEIGHTS_POS[:-1], _GK_WEIGHTS_POS[::-1]])
 _G_IDX = np.arange(1, 15, 2)
 _WG = np.concatenate([_G_WEIGHTS_POS[:-1], _G_WEIGHTS_POS[::-1]])
 
-_DEFAULT_MAX_PANELS = 4000
+_MAX_PANELS = 4000
 
 
 def _gk15(g: Callable, *edges: float) -> list[tuple[float, float]]:
@@ -200,8 +200,7 @@ def _gk15(g: Callable, *edges: float) -> list[tuple[float, float]]:
     return out
 
 
-def _adapt(g: Callable, lo: float, hi: float, tol: float, rtol: float,
-           max_panels: int) -> QuadratureResult:
+def _adapt(g: Callable, lo: float, hi: float, rtol: float) -> QuadratureResult:
     """Greedy global subdivision (QUADPACK's QAG rule) of GK15 panels.
 
     The panel with the largest error estimate is halved, and both halves
@@ -213,7 +212,7 @@ def _adapt(g: Callable, lo: float, hi: float, tol: float, rtol: float,
     total_err = err
     evals = 15
     n_panels = 1
-    while total_err > max(tol, rtol * abs(total)) and n_panels < max_panels:
+    while total_err > rtol * abs(total) and n_panels < _MAX_PANELS:
         _, a, b, v, e = heapq.heappop(panels)
         m = 0.5 * (a + b)
         (v1, e1), (v2, e2) = _gk15(g, a, m, b)
@@ -223,7 +222,7 @@ def _adapt(g: Callable, lo: float, hi: float, tol: float, rtol: float,
         heapq.heappush(panels, (-e1, a, m, v1, e1))
         heapq.heappush(panels, (-e2, m, b, v2, e2))
         n_panels += 1
-    converged = total_err <= max(tol, rtol * abs(total))
+    converged = total_err <= rtol * abs(total)
     return QuadratureResult(total, total_err, evals, converged)
 
 
@@ -231,11 +230,9 @@ def integrate_adaptive(
     g: Callable,
     lo: float,
     hi: float,
-    tol: float,
+    rtol: float,
     *,
-    rtol: float = 0.0,
     endpoint_power: float | None = None,
-    max_panels: int = _DEFAULT_MAX_PANELS,
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integration of ``g`` over [lo, hi].
 
@@ -244,7 +241,9 @@ def integrate_adaptive(
     integrand behaves like (z - lo)^p near the lower endpoint with p < 1,
     pass ``endpoint_power=p`` and one layer of the substitution
     u = sqrt(z - lo) is applied to soften it.  Stops once the accumulated
-    error estimate drops below max(tol, rtol * |value|).
+    error estimate drops to ``rtol * |value|``, ``rtol > 0``, or once the
+    interval is split into ``_MAX_PANELS`` panels; ``converged`` tells
+    which.
     """
     lo = float(lo)
     hi = float(hi)
@@ -252,40 +251,38 @@ def integrate_adaptive(
         raise ValueError("lower integration limit must be finite")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    if tol < 0.0 or rtol < 0.0:
-        raise ValueError("tolerances must be non-negative")
-    if tol == 0.0 and rtol == 0.0:
-        raise ValueError("at least one of tol, rtol must be positive")
+    if not rtol > 0.0:
+        raise ValueError(f"rtol must be positive, got {rtol!r}")
 
     needs_sub = endpoint_power is not None and endpoint_power < 1.0
 
     if math.isinf(hi):
         if needs_sub:
             split = lo + 1.0
-            left = _integrate_sqrt_sub(g, lo, split, 0.5 * tol, rtol, max_panels)
-            right = _integrate_tail(g, split, 0.5 * tol, rtol, max_panels)
+            left = _integrate_sqrt_sub(g, lo, split, rtol)
+            right = _integrate_tail(g, split, rtol)
             return _combine(left, right)
-        return _integrate_tail(g, lo, tol, rtol, max_panels)
+        return _integrate_tail(g, lo, rtol)
     if needs_sub:
-        return _integrate_sqrt_sub(g, lo, hi, tol, rtol, max_panels)
-    return _adapt(g, lo, hi, tol, rtol, max_panels)
+        return _integrate_sqrt_sub(g, lo, hi, rtol)
+    return _adapt(g, lo, hi, rtol)
 
 
-def _integrate_sqrt_sub(g, lo, hi, tol, rtol, max_panels) -> QuadratureResult:
+def _integrate_sqrt_sub(g, lo, hi, rtol) -> QuadratureResult:
     def h(u):
         u = np.asarray(u, dtype=float)
         return 2.0 * u * np.asarray(g(lo + u * u), dtype=float)
 
-    return _adapt(h, 0.0, math.sqrt(hi - lo), tol, rtol, max_panels)
+    return _adapt(h, 0.0, math.sqrt(hi - lo), rtol)
 
 
-def _integrate_tail(g, lo, tol, rtol, max_panels) -> QuadratureResult:
+def _integrate_tail(g, lo, rtol) -> QuadratureResult:
     def h(u):
         u = np.asarray(u, dtype=float)
         s = 1.0 - u
         return np.asarray(g(lo + u / s), dtype=float) / (s * s)
 
-    return _adapt(h, 0.0, 1.0, tol, rtol, max_panels)
+    return _adapt(h, 0.0, 1.0, rtol)
 
 
 def _combine(r1: QuadratureResult, r2: QuadratureResult) -> QuadratureResult:

@@ -175,12 +175,13 @@ def residual_original_coordinates():
     return _residual_original_coordinates
 
 
-def _reference_adapt(g, lo, hi, tol, rtol, max_panels):
+def _reference_adapt(g, lo, hi, rtol):
     """Greedy GK15 subdivision with one integrand call per panel.
 
     The oracle of ``specfun._adapt``, which evaluates both halves of a split
     in one call: same heap order, same accumulation order.
     """
+    from fpmb import specfun
     from fpmb.specfun import _G_IDX, _WG, _WGK, _XGK
 
     def gk15(a, b):
@@ -192,7 +193,7 @@ def _reference_adapt(g, lo, hi, tol, rtol, max_panels):
     value, err = gk15(lo, hi)
     panels = [(-err, lo, hi, value, err)]
     total, total_err, evals, n_panels = value, err, 15, 1
-    while total_err > max(tol, rtol * abs(total)) and n_panels < max_panels:
+    while total_err > rtol * abs(total) and n_panels < specfun._MAX_PANELS:
         _, a, b, v, e = heapq.heappop(panels)
         m = 0.5 * (a + b)
         v1, e1 = gk15(a, m)
@@ -203,7 +204,7 @@ def _reference_adapt(g, lo, hi, tol, rtol, max_panels):
         heapq.heappush(panels, (-e1, a, m, v1, e1))
         heapq.heappush(panels, (-e2, m, b, v2, e2))
         n_panels += 1
-    return QuadratureResult(total, total_err, evals, total_err <= max(tol, rtol * abs(total)))
+    return QuadratureResult(total, total_err, evals, total_err <= rtol * abs(total))
 
 
 @pytest.fixture
@@ -218,9 +219,9 @@ def adapt_against_reference(monkeypatch):
     adapt = specfun._adapt
     compared = []
 
-    def checked(g, lo, hi, tol, rtol, max_panels):
-        out = adapt(g, lo, hi, tol, rtol, max_panels)
-        assert out == _reference_adapt(g, lo, hi, tol, rtol, max_panels)
+    def checked(g, lo, hi, rtol):
+        out = adapt(g, lo, hi, rtol)
+        assert out == _reference_adapt(g, lo, hi, rtol)
         compared.append(out)
         return out
 

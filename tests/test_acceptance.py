@@ -244,7 +244,7 @@ def test_criterion_8_special_functions():
             with np.errstate(divide="ignore"):
                 return np.exp(-x * t + (a - 1.0) * np.log(t) + (b - a - 1.0) * np.log1p(t))
 
-        ref = integrate_adaptive(integrand, 0.0, math.inf, 0.0, rtol=1e-12,
+        ref = integrate_adaptive(integrand, 0.0, math.inf, 1e-12,
                                  endpoint_power=a - 1.0)
         ref_val = ref.value * math.exp(-ln_gamma(a))
         tricomi_worst = max(tricomi_worst, abs(val - ref_val) / abs(ref_val))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,11 +19,6 @@ from fpmb.cli import (
     _fmt,
     _load_config,
     _parser,
-    check_current_consistency,
-    check_fpe_residual_order,
-    check_first_integral,
-    check_pde_attractor,
-    check_reduced_ode,
     format_config,
     load_preset_config,
     main,
@@ -228,6 +224,33 @@ class TestBadValues:
         assert exc.value.code == f"sample needs times that end after they start, got times = {times}"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command, output", [
+        ("eval", "--out"), ("verify", "--pde-log"), ("sample", "--out"),
+    ])
+    @pytest.mark.parametrize("beta, kind, message", [
+        pytest.param("800", RuntimeError, "normalization quadrature failed for "
+                     "ClassII(z2=2.0, a1=1.0, a2=1.0, beta=800.0): error estimate nan", id="800"),
+        pytest.param("-800", ValueError, "closed-form normalization of "
+                     "ClassII(z2=2.0, a1=1.0, a2=1.0, beta=-800.0) is not finite: nan", id="-800"),
+    ])
+    def test_model_that_cannot_be_built(self, command, output, beta, kind, message,
+                                        tmp_path, capsys):
+        """The config is admissible but its model cannot be built: the run ends
+        with one line naming the file and leaves its output file empty, while
+        run_checks, called as a library function, still raises."""
+        path = tmp_path / "unbuildable.cfg"
+        path.write_text("class = II\nalpha = 1.0\nz2 = 2\na1 = 1\na2 = 1\n"
+                        f"beta = {beta}\ntimes = 0.3, 0.4\n")
+        out = tmp_path / "out.csv"
+        out.write_text("left over\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), output, str(out)])
+        assert exc.value.code == f"{path}: {kind.__name__}: {message}"
+        assert out.read_text() == ""
+        assert capsys.readouterr().out == ""
+        with pytest.raises(kind, match=re.escape(message)):
+            run_checks(parse_config(path.read_text()))
+
 
 class TestBadArguments:
     """A preset that does not exist, or a file that cannot be opened, ends
@@ -256,6 +279,24 @@ class TestBadArguments:
         assert exc.value.code == f"{argv[-1]}: No such file or directory"
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["eval", "--preset", "fig5", "--out"], id="eval"),
+        pytest.param(["verify", "--preset", "fig5", "--with-sde", "--pde-log"], id="verify"),
+        pytest.param(["sample", "--preset", "fig5", "--out"], id="sample"),
+    ])
+    def test_unwritable_output_exits_before_any_work(self, argv, tmp_path, monkeypatch,
+                                                     capsys):
+        def called(*args, **kwargs):
+            pytest.fail("the model was built before the output was opened")
+
+        monkeypatch.setattr(RunConfig, "build", called)
+        monkeypatch.setattr(fpmb.cli, "run_checks", called)
+        path = str(tmp_path / "missing" / "x.csv")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, path])
+        assert exc.value.code == f"{path}: No such file or directory"
+        assert capsys.readouterr().out == ""
+
 
 class TestFixedBounds:
     """The checks' acceptance bounds are constants of RunConfig, not settings
@@ -272,19 +313,21 @@ class TestFixedBounds:
     def test_bounds_and_printed_thresholds(self, capsys):
         assert [getattr(RunConfig, key) for key in _TOL_KEYS] == [1e-8, 1e-10, 1e-3, 0.05]
         assert len(dataclasses.fields(RunConfig)) == 13
-        main(["verify", "--preset", "fig1", "--with-sde", "--paths", "2000"])
-        lines = capsys.readouterr().out.splitlines()[:-1]
-        assert {line.split()[1]: line.split("threshold ", 1)[1] for line in lines} == {
-            "normalization": "<= 1e-08",
-            "norm_constant_agreement": "<= 1e-10",
-            "first_integral_identity": "<= 1e-10",
-            "reduced_ode_residual": "<= 1e-10",
-            "current_consistency": "<= 1e-10",
-            "fpe_residual_order": "in [1.8, 2.2]",
-            "pde_attractor_l1": "<= 0.001",
-            "pde_mass_drift": f"<= {pde.MASS_DRIFT_TOL:g}",
-            "sde_histogram_l1": "<= 0.05",
-        }
+        # the norm constants agree to 1e-10 on a bounded domain, 1e-8 on the half line
+        for preset, agreement in [("fig1", "<= 1e-10"), ("fig5", "<= 1e-08")]:
+            main(["verify", "--preset", preset, "--with-sde", "--paths", "2000"])
+            lines = capsys.readouterr().out.splitlines()[:-1]
+            assert {line.split()[1]: line.split("threshold ", 1)[1] for line in lines} == {
+                "normalization": "<= 1e-08",
+                "norm_constant_agreement": agreement,
+                "first_integral_identity": "<= 1e-10",
+                "reduced_ode_residual": "<= 1e-10",
+                "current_consistency": "<= 1e-10",
+                "fpe_residual_order": "in [1.8, 2.2]",
+                "pde_attractor_l1": "<= 0.001",
+                "pde_mass_drift": f"<= {pde.MASS_DRIFT_TOL:g}",
+                "sde_histogram_l1": "<= 0.05",
+            }
 
 
 class TestFlagsMatchConfigKeys:
@@ -527,7 +570,7 @@ import json, sys
 import fpmb.cli as cli
 loaded_at_import = "scipy.sparse" in sys.modules
 cfg = cli.load_preset_config("fig1")
-results = cli.check_pde_attractor(cfg.build(), cfg.n_cells, cfg.tol_attractor)
+results = [r for r in cli.run_checks(cfg) if r.name.startswith("pde_")]
 print(json.dumps({
     "loaded_at_import": loaded_at_import,
     "loaded_after_evolve": "scipy.sparse" in sys.modules,
@@ -635,12 +678,12 @@ class TestLapackLoader:
         yield
         pde._tridiagonal_lapack.cache_clear()
 
-    def test_public_fallback_gives_the_same_checks(self, built_presets, fresh_loader,
-                                                    monkeypatch):
+    def test_public_fallback_gives_the_same_checks(self, fresh_loader, monkeypatch):
         def attractor_hex():
             return {name: [(r.measured.hex(), r.threshold, r.passed)
-                           for r in check_pde_attractor(sol, 400, 1e-3)]
-                    for name, sol in built_presets.items()}
+                           for r in run_checks(load_preset_config(name))
+                           if r.name.startswith("pde_")]
+                    for name in preset_names()}
 
         private = attractor_hex()
         assert pde._tridiagonal_lapack()[0] is not scipy.linalg.lapack.dgttrf
@@ -653,6 +696,12 @@ class TestLapackLoader:
         assert attractor_hex() == private
         assert pde._tridiagonal_lapack() == (scipy.linalg.lapack.dgttrf,
                                              scipy.linalg.lapack.dgttrs)
+
+
+def _result(results, name):
+    """The result of the check called ``name``."""
+    [result] = [r for r in results if r.name == name]
+    return result
 
 
 class TestVerify:
@@ -668,7 +717,7 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
-    def test_tampered_drift_fails_first_integral(self, built_presets):
+    def test_tampered_drift_fails_first_integral(self, built_presets, monkeypatch):
         sol = built_presets["fig1"]
         params = sol.class_params
         bad_drift = (  # q with a1 off by one
@@ -677,13 +726,16 @@ class TestVerify:
             0.0,
         )
         tampered = dataclasses.replace(sol, drift_coefs=bad_drift)
-        result = check_first_integral(tampered, 1e-10)
+        monkeypatch.setattr(RunConfig, "build", lambda self: tampered)
+        result = _result(run_checks(load_preset_config("fig1")), "first_integral_identity")
+        assert result.threshold == "<= 1e-10"
         assert not result.passed
         assert result.measured > 1e-3
 
     @pytest.mark.parametrize("index", [None, 0, 1, 2])
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_diffusion_change_fails_identity_checks(self, built_presets, name, index):
+    def test_diffusion_change_fails_identity_checks(self, built_presets, name, index,
+                                                    monkeypatch):
         """A change of 1e-9 max|c| to any diffusion coefficient fails all
         three identity checks; ``index=None`` is the untampered model, which
         passes them."""
@@ -693,15 +745,17 @@ class TestVerify:
             coefs = list(sol.diffusion_coefs)
             coefs[index] += 1e-9 * max(map(abs, coefs))
             sol = dataclasses.replace(sol, diffusion_coefs=tuple(coefs))
-        results = [
-            check_first_integral(sol, cfg.tol_identity),
-            check_reduced_ode(sol, cfg.tol_identity),
-            check_current_consistency(sol, cfg.times[len(cfg.times) // 2], cfg.tol_identity),
-        ]
+        monkeypatch.setattr(RunConfig, "build", lambda self: sol)
+        checked = run_checks(cfg)
+        results = [_result(checked, name) for name in (
+            "first_integral_identity", "reduced_ode_residual", "current_consistency")]
+        assert [r.threshold for r in results] == [f"<= {cfg.tol_identity:g}"] * 3
         assert [r.passed for r in results] == [index is None] * 3, results
 
-    def test_residual_order_check(self, built_presets):
-        res = check_fpe_residual_order(built_presets["fig1"], 0.4)
+    def test_residual_order_check(self):
+        cfg = load_preset_config("fig1")
+        assert cfg.times[len(cfg.times) // 2] == 0.4
+        res = _result(run_checks(cfg), "fpe_residual_order")
         assert res.passed
         assert 1.8 <= res.measured <= 2.2
 

@@ -49,7 +49,7 @@ class TestZGrid:
         sol = built_presets["fig5"]
         grid = make_grid(sol, 50)
         res = integrate_adaptive(
-            lambda z: np.asarray(reduced_density(sol, z)), grid.z_hi, math.inf, 0.0, rtol=1e-6
+            lambda z: np.asarray(reduced_density(sol, z)), grid.z_hi, math.inf, 1e-6
         )
         assert TAIL_MASS / 100 <= res.value <= TAIL_MASS
 
@@ -138,7 +138,7 @@ class TestExactPeclet:
             op = transformed_operator(sol, grid)
             c = grid.centers
             ref = np.array([
-                integrate_adaptive(ratio, lo, hi, 1e-16, rtol=1e-14).value
+                integrate_adaptive(ratio, lo, hi, 1e-14).value
                 for lo, hi in zip(c[:-1], c[1:])
             ])
             # B(-pe) / B(pe) = e^pe for the Bernoulli weights of each face

@@ -468,7 +468,7 @@ class TestEffectiveUpper:
         sol = built_presets["fig5"]
         z_max = effective_upper(sol)
         res = integrate_adaptive(
-            lambda z: np.asarray(reduced_density(sol, z)), z_max, math.inf, 0.0, rtol=1e-6
+            lambda z: np.asarray(reduced_density(sol, z)), z_max, math.inf, 1e-6
         )
         assert res.value <= TAIL_MASS
         assert res.value >= TAIL_MASS / 100  # not absurdly over-truncated
@@ -509,7 +509,7 @@ class TestTailContract:
             z_cut = effective_upper.__wrapped__(sol)
             assert len(quadratures) <= 8, sol.class_params
             res = integrate_adaptive(
-                lambda z: np.asarray(reduced_density(sol, z)), z_cut, math.inf, 0.0, rtol=1e-13
+                lambda z: np.asarray(reduced_density(sol, z)), z_cut, math.inf, 1e-13
             )
             assert res.converged
             assert TAIL_MASS * (1.0 - 1e-6) <= res.value <= TAIL_MASS, sol.class_params

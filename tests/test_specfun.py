@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fpmb import specfun
 from fpmb.specfun import (
     integrate_adaptive,
     kummer_1f1,
@@ -122,7 +123,7 @@ class TestTricomi:
             with np.errstate(divide="ignore"):
                 return np.exp(-x * t + (a - 1.0) * np.log(t) + (b - a - 1.0) * np.log1p(t))
 
-        ref = integrate_adaptive(integrand, 0.0, math.inf, 0.0, rtol=1e-13,
+        ref = integrate_adaptive(integrand, 0.0, math.inf, 1e-13,
                                  endpoint_power=a - 1.0)
         assert ref.converged
         assert val == pytest.approx(ref.value * math.exp(-ln_gamma(a)), rel=1e-9)
@@ -140,7 +141,7 @@ class TestTricomi:
                 with np.errstate(divide="ignore"):
                     return np.exp(-x * t + (a - 1.0) * np.log(t) + (b - a - 1.0) * np.log1p(t))
 
-            ref = integrate_adaptive(integrand, 0.0, math.inf, 0.0, rtol=1e-12,
+            ref = integrate_adaptive(integrand, 0.0, math.inf, 1e-12,
                                      endpoint_power=a - 1.0)
             assert ref.converged
             assert val == pytest.approx(ref.value * math.exp(-ln_gamma(a)), rel=1e-9)
@@ -186,8 +187,9 @@ class TestIntegrateAdaptive:
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
-    def test_exhaustion_reports_failure_flag(self):
-        res = integrate_adaptive(lambda x: np.abs(x) ** -0.9, 0.0, 1.0, 1e-14, max_panels=5)
+    def test_exhaustion_reports_failure_flag(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_PANELS", 5)
+        res = integrate_adaptive(lambda x: np.abs(x) ** -0.9, 0.0, 1.0, 1e-14)
         assert not res.converged
         assert res.abs_error_estimate > 1e-14
         assert math.isfinite(res.value)
@@ -195,10 +197,9 @@ class TestIntegrateAdaptive:
     def test_rejects_bad_limits_and_tolerances(self):
         with pytest.raises(ValueError):
             integrate_adaptive(lambda x: x, 1.0, 0.0, 1e-8)
-        with pytest.raises(ValueError):
-            integrate_adaptive(lambda x: x, 0.0, 1.0, -1e-8)
-        with pytest.raises(ValueError):
-            integrate_adaptive(lambda x: x, 0.0, 1.0, 0.0)
+        for rtol in (0.0, -1e-8, math.nan):
+            with pytest.raises(ValueError, match="rtol must be positive"):
+                integrate_adaptive(lambda x: x, 0.0, 1.0, rtol)
 
 
 class TestAdaptiveMatchesPanelByPanel:
@@ -206,23 +207,25 @@ class TestAdaptiveMatchesPanelByPanel:
     result equals, to the bit, that of one call per panel (the
     ``adapt_against_reference`` fixture compares each ``_adapt`` call)."""
 
-    @pytest.mark.parametrize("g, lo, hi, tol, kwargs", [
-        pytest.param(lambda x: x**2, 0.0, 1.0, 1e-12, {}, id="polynomial"),
-        pytest.param(lambda x: x**-0.5, 0.0, 1.0, 1e-12, {"endpoint_power": -0.5},
-                     id="endpoint-power"),
-        pytest.param(lambda x: x**-0.5, 0.0, 1.0, 1e-9, {}, id="singular-no-hint"),
-        pytest.param(lambda x: np.exp(-x) * x, 0.0, math.inf, 1e-12, {}, id="tail"),
-        pytest.param(lambda x: np.exp(-x) * x**-0.3, 0.0, math.inf, 1e-12,
-                     {"endpoint_power": -0.3}, id="endpoint-power-and-tail"),
-        pytest.param(lambda x: np.abs(x) ** -0.9, 0.0, 1.0, 1e-14, {"max_panels": 5},
+    @pytest.mark.parametrize("g, lo, hi, rtol, power, max_panels", [
+        pytest.param(lambda x: x**2, 0.0, 1.0, 1e-12, None, None, id="polynomial"),
+        pytest.param(lambda x: x**-0.5, 0.0, 1.0, 1e-12, -0.5, None, id="endpoint-power"),
+        pytest.param(lambda x: x**-0.5, 0.0, 1.0, 1e-9, None, None, id="singular-no-hint"),
+        pytest.param(lambda x: np.exp(-x) * x, 0.0, math.inf, 1e-12, None, None, id="tail"),
+        pytest.param(lambda x: np.exp(-x) * x**-0.3, 0.0, math.inf, 1e-12, -0.3, None,
+                     id="endpoint-power-and-tail"),
+        pytest.param(lambda x: np.abs(x) ** -0.9, 0.0, 1.0, 1e-14, None, 5,
                      id="capped-unconverged"),
-        pytest.param(lambda x: np.sin(40.0 * x) ** 2, -1.0, 2.0, 0.0, {"rtol": 1e-13},
+        pytest.param(lambda x: np.sin(40.0 * x) ** 2, -1.0, 2.0, 1e-13, None, None,
                      id="oscillatory-rtol"),
     ])
-    def test_test_integrands(self, g, lo, hi, tol, kwargs, adapt_against_reference):
-        res = integrate_adaptive(g, lo, hi, tol, **kwargs)
+    def test_test_integrands(self, g, lo, hi, rtol, power, max_panels,
+                             adapt_against_reference, monkeypatch):
+        if max_panels is not None:
+            monkeypatch.setattr(specfun, "_MAX_PANELS", max_panels)
+        res = integrate_adaptive(g, lo, hi, rtol, endpoint_power=power)
         assert adapt_against_reference
-        if "max_panels" in kwargs:
+        if max_panels is not None:
             assert not res.converged
 
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
