@@ -241,8 +241,8 @@ def _pde_relaxation(sol: SimilaritySolution, n_cells: int,
     """L1 distance to the stationary field after 200 steps from a uniform
     start, and the worst one-step mass drift; appends a log row per step
     when ``log_rows`` is a list."""
-    grid = pde.make_grid(sol, n_cells)
-    op = pde.transformed_operator(sol, grid)
+    op = pde.transformed_operator(sol, n_cells)
+    grid = op.grid
     target = pde.stationary_field(sol, grid)
     on_step = None
     if log_rows is not None:

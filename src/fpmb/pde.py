@@ -17,9 +17,12 @@ Peclet number integrated across a face is a difference of log y and needs
 no quadrature.  Evolution must conserve mass to roundoff and
 relax onto y; that is the verification.
 
-A field is a plain array of cell values.  ``evolve`` takes a whole number
-of steps from s = 0 with one factorization and returns the final values
-with the worst one-step relative mass drift it measured.
+``transformed_operator(sol, n_cells)`` builds its grid with ``make_grid``
+and stores the two weights of each of the n - 1 interior faces, which are
+the off-diagonals of the tridiagonal operator.  A field is a plain array
+of cell values.  ``evolve`` takes a whole number of steps from s = 0 with
+one factorization and returns the final values with the worst one-step
+relative mass drift it measured.
 """
 
 from __future__ import annotations
@@ -69,13 +72,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ZGrid:
-    """Uniform cell-centered grid on a finite reduced interval."""
+    """Uniform cell-centered grid on a finite reduced interval; grids
+    compare by their endpoints and cell count."""
 
     z_lo: float
     z_hi: float
     n_cells: int
-    faces: np.ndarray = field(init=False, repr=False)
-    centers: np.ndarray = field(init=False, repr=False)
+    faces: np.ndarray = field(init=False, repr=False, compare=False)
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.z_lo) and math.isfinite(self.z_hi)):
@@ -120,27 +124,21 @@ def _bernoulli(x: np.ndarray) -> np.ndarray:
 class DiscreteOperator:
     """Tridiagonal action u -> du/ds of the transformed conservation law.
 
-    ``coeff_right[j]`` / ``coeff_left[j]`` scale the right / left cell value
-    in the flux through face j, so F_j = h (coeff_right[j] u_j -
-    coeff_left[j] u_{j-1}); boundary faces carry zeros.
+    ``lower`` and ``upper`` hold n - 1 entries, one per interior face: the
+    flux through the face between cells i and i + 1 is
+    h (upper[i] u_{i+1} - lower[i] u_i), and the two boundary faces carry
+    zero flux.  They are the sub- and super-diagonal of the matrix as they
+    stand; ``diag`` is built from them, so each column sums to zero up to
+    rounding.
     """
 
     grid: ZGrid
-    coeff_right: np.ndarray
-    coeff_left: np.ndarray
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.coeff_left[: self.grid.n_cells]
+    lower: np.ndarray
+    upper: np.ndarray
 
     @property
     def diag(self) -> np.ndarray:
-        n = self.grid.n_cells
-        return -(self.coeff_left[1 : n + 1] + self.coeff_right[:n])
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.coeff_right[1 : self.grid.n_cells + 1]
+        return -(np.append(self.lower, 0.0) + np.append(0.0, self.upper))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """du/ds as the difference of the face fluxes, which telescope."""
@@ -148,45 +146,39 @@ class DiscreteOperator:
 
     def face_flux(self, u: np.ndarray) -> np.ndarray:
         """Numerical flux at every face (identically zero at the boundary faces)."""
-        h = self.grid.h
         flux = np.zeros(self.grid.n_cells + 1)
-        flux[1:-1] = h * (self.coeff_right[1:-1] * u[1:] - self.coeff_left[1:-1] * u[:-1])
+        flux[1:-1] = self.grid.h * (self.upper * u[1:] - self.lower * u[:-1])
         return flux
 
 
-def transformed_operator(sol: SimilaritySolution, grid: ZGrid) -> DiscreteOperator:
-    """Assemble the finite-volume operator for a solution on its grid.
+def transformed_operator(sol: SimilaritySolution, n_cells: int) -> DiscreteOperator:
+    """Assemble the finite-volume operator for a solution on ``make_grid(sol, n_cells)``.
 
-    The face flux is F = (rho2' - q) u + rho2 u'.  Face conductances use the
-    diffusion rho2 at the face, evaluated from ``sol.diffusion_coefs``; the
-    exponential weights use the Peclet number integrated across the face's
-    cell-center interval.  The drift to diffusion ratio
-    (rho2' - q) / rho2 is -f = -(log y)', so that integral is exactly
-    log y(c_j) - log y(c_{j+1}), which stays accurate where the ratio
-    varies fast across a cell, next to the degenerate-diffusion endpoints.
-    The two boundary faces are hard-set to zero flux rather than evaluated,
-    which matches the impenetrable-boundary condition exactly and avoids
-    0/0 in the fitting where rho2 degenerates.
+    The operator carries that grid as ``op.grid``.  The face flux is
+    F = (rho2' - q) u + rho2 u'.  Face conductances use the diffusion rho2
+    at the face, evaluated from ``sol.diffusion_coefs``; the exponential
+    weights use the Peclet number integrated across the face's cell-center
+    interval.  The drift to diffusion ratio (rho2' - q) / rho2 is
+    -f = -(log y)', so that integral is exactly log y(c_i) - log y(c_{i+1}),
+    which stays accurate where the ratio varies fast across a cell, next to
+    the degenerate-diffusion endpoints.  Only interior faces get
+    coefficients: the two boundary faces have zero flux, which matches the
+    impenetrable-boundary condition exactly and avoids 0/0 in the fitting
+    where rho2 degenerates.
     """
-    if abs(grid.z_lo - sol.z_lo) > 1e-12 * max(1.0, abs(sol.z_lo)):
-        raise ValueError("grid does not start at the domain's lower endpoint")
-    if not math.isinf(sol.z_hi) and abs(grid.z_hi - sol.z_hi) > 1e-12 * max(1.0, abs(sol.z_hi)):
-        raise ValueError("grid does not end at the domain's upper endpoint")
+    grid = make_grid(sol, n_cells)
     if math.isinf(sol.z_hi) and grid.z_hi <= grid.z_lo + 10 * grid.h:
         raise ValueError("truncated grid is too short for the half-line domain")
 
-    n = grid.n_cells
     d_face = rho2(sol, grid.faces[1:-1])
     if not np.all(d_face > 0.0):  # NaN fails too
         raise ValueError("diffusion profile must be positive at interior faces")
 
     log_y_centers = _log_y(sol, grid.centers)
     peclet = log_y_centers[:-1] - log_y_centers[1:]
-    coeff_right = np.zeros(n + 1)
-    coeff_left = np.zeros(n + 1)
-    coeff_right[1:-1] = d_face * _bernoulli(-peclet) / grid.h**2
-    coeff_left[1:-1] = d_face * _bernoulli(peclet) / grid.h**2
-    return DiscreteOperator(grid=grid, coeff_right=coeff_right, coeff_left=coeff_left)
+    lower = d_face * _bernoulli(peclet) / grid.h**2
+    upper = d_face * _bernoulli(-peclet) / grid.h**2
+    return DiscreteOperator(grid, lower, upper)
 
 
 # largest relative mass change one implicit step may make; also the bound of
@@ -295,7 +287,7 @@ def evolve(
 
     n = op.grid.n_cells
     h = op.grid.h
-    lu = splu(-ds * op.lower[1:], 1.0 - ds * op.diag, -ds * op.upper[:-1])
+    lu = splu(-ds * op.lower, 1.0 - ds * op.diag, -ds * op.upper)
     mass_before = u.sum() * h
     s = worst = 0.0
     count = n_steps

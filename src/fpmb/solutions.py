@@ -57,7 +57,6 @@ __all__ = [
     "build_solution",
     "preset_solution",
     "mirror",
-    "log_y",
     "f",
     "f_prime",
     "rho2",
@@ -222,16 +221,11 @@ def _linear(factor: tuple[float, float, float], z):
 
 
 def _log_y(sol: SimilaritySolution, z: np.ndarray):
-    """``log_y`` at points of the open domain, where no factor vanishes."""
+    """Unnormalized log density a1 log l1 + a2 log l2 + rate z on the open
+    domain; -inf at a root, where numpy warns of a divide by zero."""
     f1, f2 = sol.factors
     out = f1[2] * np.log(_linear(f1, z)) + f2[2] * np.log(_linear(f2, z))
     return out + sol.rate * z if sol.rate else out
-
-
-def log_y(sol: SimilaritySolution, z):
-    """Unnormalized log density a1 log l1 + a2 log l2 + rate z (-inf at a root)."""
-    with np.errstate(divide="ignore"):
-        return _log_y(sol, np.asarray(z, dtype=float))
 
 
 def f(sol: SimilaritySolution, z):
@@ -309,12 +303,14 @@ def _domain_quadrature(sol: SimilaritySolution, g, scale: float, k: int,
 
 
 def _reduced_mass(sol: SimilaritySolution, weight_power: int = 0) -> QuadratureResult:
-    """Quadrature of z^k * exp(log_y) over the reduced domain, k = weight_power."""
+    """Quadrature of z^k * y over the reduced domain, k = weight_power; y is
+    0 at a root and inf where it overflows, without numpy warnings."""
     k = weight_power
 
     def integrand(z):
         z = np.asarray(z, dtype=float)
-        return z**k * np.exp(log_y(sol, z))
+        with np.errstate(divide="ignore", over="ignore"):
+            return z**k * np.exp(_log_y(sol, z))
 
     return _domain_quadrature(sol, integrand, 1.0, k, _NORM_RTOL)
 
@@ -393,8 +389,16 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
             f"normalization quadrature failed for {params!r}: "
             f"error estimate {quad.abs_error_estimate:.3e}"
         )
+    if not 0.0 < quad.value < math.inf:  # NaN fails too
+        raise RuntimeError(
+            f"normalization quadrature of {params!r} is not finite and positive: "
+            f"{quad.value!r}"
+        )
     norm_quad = 1.0 / quad.value
-    norm_closed = _closed_form_norm(shape)
+    try:
+        norm_closed = _closed_form_norm(shape)
+    except OverflowError:  # 1/A past the largest float
+        norm_closed = math.inf
     if not math.isfinite(norm_closed):
         raise ValueError(
             f"closed-form normalization of {params!r} is not finite: {norm_closed!r}"

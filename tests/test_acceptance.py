@@ -30,7 +30,6 @@ from fpmb.specfun import ln_beta
 from fpmb.pde import (
     fpe_residual_at,
     l1_distance,
-    make_grid,
     stationary_field,
     transformed_operator,
     uniform_field,
@@ -125,8 +124,8 @@ def test_criterion_5_pde_attractor(presets):
     """Uniform start relaxes onto the reduced density; mass conserved, < 30 s."""
     start = time.perf_counter()
     sol = presets["fig1"]
-    grid = make_grid(sol, 400)
-    op = transformed_operator(sol, grid)
+    op = transformed_operator(sol, 400)
+    grid = op.grid
     drifts = []
     masses = [uniform_field(grid).sum() * grid.h]
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,29 +228,43 @@ class TestBadValues:
     @pytest.mark.parametrize("command, output", [
         ("eval", "--out"), ("verify", "--pde-log"), ("sample", "--out"),
     ])
-    @pytest.mark.parametrize("beta, kind, message", [
-        pytest.param("800", RuntimeError, "normalization quadrature failed for "
+    @pytest.mark.parametrize("model, kind, message", [
+        pytest.param("class = II\nz2 = 2\na1 = 1\na2 = 1\nbeta = 800\n", RuntimeError,
+                     "normalization quadrature failed for "
                      "ClassII(z2=2.0, a1=1.0, a2=1.0, beta=800.0): error estimate nan", id="800"),
-        pytest.param("-800", ValueError, "closed-form normalization of "
+        pytest.param("class = II\nz2 = 2\na1 = 1\na2 = 1\nbeta = -800\n", ValueError,
+                     "closed-form normalization of "
                      "ClassII(z2=2.0, a1=1.0, a2=1.0, beta=-800.0) is not finite: nan", id="-800"),
+        pytest.param("class = II\nz2 = 2\na1 = 1\na2 = 1\nbeta = 360\n", RuntimeError,
+                     "normalization quadrature of ClassII(z2=2.0, a1=1.0, a2=1.0, beta=360.0) "
+                     "is not finite and positive: inf", id="beta360"),
+        pytest.param("class = III\nz1 = 1e4\na1 = 0.001\na2 = 0.001\nbeta = 0.3\n", RuntimeError,
+                     "normalization quadrature of ClassIII(z1=10000.0, a1=0.001, a2=0.001, "
+                     "beta=0.3) is not finite and positive: 0.0", id="z1far"),
+        pytest.param("class = III\nz1 = 0.5\na1 = 50\na2 = 50\nbeta = 1000\n", ValueError,
+                     "closed-form normalization of ClassIII(z1=0.5, a1=50.0, a2=50.0, "
+                     "beta=1000.0) is not finite: inf", id="beta1000"),
     ])
-    def test_model_that_cannot_be_built(self, command, output, beta, kind, message,
+    def test_model_that_cannot_be_built(self, command, output, model, kind, message,
                                         tmp_path, capsys):
-        """The config is admissible but its model cannot be built: the run ends
-        with one line naming the file and leaves its output file empty, while
+        """The config is admissible but its model cannot be built: its
+        normalization quadrature fails or is not finite and positive, or its
+        closed form is not finite.  The run ends with one line naming the
+        file, raises no numpy warning and leaves its output file empty, while
         run_checks, called as a library function, still raises."""
         path = tmp_path / "unbuildable.cfg"
-        path.write_text("class = II\nalpha = 1.0\nz2 = 2\na1 = 1\na2 = 1\n"
-                        f"beta = {beta}\ntimes = 0.3, 0.4\n")
+        path.write_text(f"{model}alpha = 1.0\ntimes = 0.3, 0.4\n")
         out = tmp_path / "out.csv"
         out.write_text("left over\n")
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(path), output, str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(path), output, str(out)])
+            with pytest.raises(kind, match=re.escape(message)):
+                run_checks(parse_config(path.read_text()))
         assert exc.value.code == f"{path}: {kind.__name__}: {message}"
         assert out.read_text() == ""
         assert capsys.readouterr().out == ""
-        with pytest.raises(kind, match=re.escape(message)):
-            run_checks(parse_config(path.read_text()))
 
 
 class TestBadArguments:
@@ -796,7 +811,7 @@ class TestVerify:
             expected_rows.append(",".join(_fmt(x) for x in (s, m, pde.l1_distance(v, target, grid))))
 
         monkeypatch.setattr(pde, "splu", counting)
-        final, worst = reference_evolve(pde.transformed_operator(sol, grid),
+        final, worst = reference_evolve(pde.transformed_operator(sol, n_cells),
                                         pde.uniform_field(grid), 200, 0.05, on_step=record)
         l1 = pde.l1_distance(final, target, grid)
         for measured in (logged, unlogged):
@@ -853,9 +868,9 @@ class TestRaisingChecks:
             def diag(self):
                 return super().diag * (1.0 + 1e-3 * np.linspace(0.0, 1.0, self.grid.n_cells))
 
-        def skewed(sol, grid):
-            op = build_operator(sol, grid)
-            return Skewed(grid, op.coeff_right, op.coeff_left)
+        def skewed(sol, n_cells):
+            op = build_operator(sol, n_cells)
+            return Skewed(op.grid, op.lower, op.upper)
 
         monkeypatch.setattr(pde, "transformed_operator", skewed)
         results = {r.name: r for r in run_checks(load_preset_config("fig1"))}

@@ -26,7 +26,7 @@ from fpmb.specfun import integrate_adaptive
 
 def dense_operator(op):
     """The tridiagonal operator as a dense matrix, from its three diagonals."""
-    return np.diag(op.diag) + np.diag(op.lower[1:], -1) + np.diag(op.upper[:-1], 1)
+    return np.diag(op.diag) + np.diag(op.lower, -1) + np.diag(op.upper, 1)
 
 
 class TestZGrid:
@@ -57,15 +57,15 @@ class TestZGrid:
 class TestOperator:
     def test_column_sums_telescope(self, built_presets):
         for sol in built_presets.values():
-            grid = make_grid(sol, 100)
-            op = transformed_operator(sol, grid)
+            op = transformed_operator(sol, 100)
+            grid = op.grid
             col_sums = dense_operator(op).sum(axis=0)
             scale = float(np.abs(op.diag).max())
             assert float(np.abs(col_sums).max()) <= 1e-14 * scale
 
     def test_uniform_field_conserves_mass_per_step(self, built_presets):
-        grid = make_grid(built_presets["fig1"], 128)
-        op = transformed_operator(built_presets["fig1"], grid)
+        op = transformed_operator(built_presets["fig1"], 128)
+        grid = op.grid
         u0 = uniform_field(grid)
         masses = []
         evolve(op, u0, 1, 0.05, on_step=lambda s, m, v: masses.append(m))
@@ -73,18 +73,18 @@ class TestOperator:
 
     def test_stationary_profile_has_zero_flux(self, built_presets):
         for sol in built_presets.values():
-            grid = make_grid(sol, 100)
-            op = transformed_operator(sol, grid)
+            op = transformed_operator(sol, 100)
+            grid = op.grid
             y = stationary_field(sol, grid)
-            flux_scale = float(np.max(grid.h * op.coeff_right * np.append(y, 0.0)))
+            flux_scale = float(np.max(grid.h * op.upper * y[1:]))
             assert float(np.abs(op.face_flux(y)).max()) <= 1e-12 * max(flux_scale, 1.0)
 
     def test_discrete_stationarity_bounded_by_h_squared(self, built_presets):
         for name in ("fig1", "fig3", "fig5"):
             sol = built_presets[name]
             for n in (100, 200, 400):
-                grid = make_grid(sol, n)
-                op = transformed_operator(sol, grid)
+                op = transformed_operator(sol, n)
+                grid = op.grid
                 y = stationary_field(sol, grid)
                 l1 = float(np.abs(op.apply(y)).sum() * grid.h)
                 assert l1 <= 1e-2 * grid.h**2
@@ -93,14 +93,19 @@ class TestOperator:
         sol = built_presets["fig1"]
         tampered = dataclasses.replace(sol, diffusion_coefs=(math.nan,) + sol.diffusion_coefs[1:])
         with pytest.raises(ValueError, match="diffusion profile must be positive"):
-            transformed_operator(tampered, make_grid(sol, 64))
+            transformed_operator(tampered, 64)
 
-    def test_grid_domain_mismatch_rejected(self, built_presets):
-        sol = built_presets["fig1"]
-        with pytest.raises(ValueError):
-            transformed_operator(sol, ZGrid(1.5, 4.0, 50))
-        with pytest.raises(ValueError):
-            transformed_operator(sol, ZGrid(1.0, 3.5, 50))
+    @pytest.mark.parametrize("n_cells", [11, 64, 400])
+    def test_carries_its_grid_and_one_weight_per_interior_face(self, built_presets, n_cells):
+        for sol in built_presets.values():
+            op = transformed_operator(sol, n_cells)
+            assert op.grid == make_grid(sol, n_cells)
+            assert op.lower.shape == op.upper.shape == (n_cells - 1,)
+            assert op.diag.shape == (n_cells,)
+
+    def test_short_half_line_grid_rejected(self, built_presets):
+        with pytest.raises(ValueError, match="too short for the half-line"):
+            transformed_operator(built_presets["fig5"], 5)
 
 
 def peclet_models(built_presets):
@@ -134,31 +139,31 @@ class TestExactPeclet:
                 w = polyval(z, polyder(diffusion)) - polyval(z, drift)
                 return w / polyval(z, diffusion)
 
-            grid = make_grid(sol, 400)
-            op = transformed_operator(sol, grid)
+            op = transformed_operator(sol, 400)
+            grid = op.grid
             c = grid.centers
             ref = np.array([
                 integrate_adaptive(ratio, lo, hi, 1e-14).value
                 for lo, hi in zip(c[:-1], c[1:])
             ])
             # B(-pe) / B(pe) = e^pe for the Bernoulli weights of each face
-            peclet = np.log(op.coeff_right[1:-1] / op.coeff_left[1:-1])
+            peclet = np.log(op.upper / op.lower)
             assert np.max(np.abs(peclet - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestEvolve:
     def test_started_from_stationary_stays_there(self, built_presets):
         sol = built_presets["fig1"]
-        grid = make_grid(sol, 400)
-        op = transformed_operator(sol, grid)
+        op = transformed_operator(sol, 400)
+        grid = op.grid
         y = stationary_field(sol, grid)
         final, _ = evolve(op, y / (y.sum() * grid.h), 200, 0.05)
         assert l1_distance(final, y, grid) <= 5e-4
 
     def test_uniform_start_reaches_stationary(self, built_presets):
         sol = built_presets["fig1"]
-        grid = make_grid(sol, 400)
-        op = transformed_operator(sol, grid)
+        op = transformed_operator(sol, 400)
+        grid = op.grid
         u0 = uniform_field(grid)
         drifts = []
         masses = [u0.sum() * grid.h]
@@ -177,8 +182,8 @@ class TestEvolve:
     @pytest.mark.parametrize("n_cells", [400, 1600])
     def test_mass_conserved_regardless_of_step(self, built_presets, ds, n_cells):
         sol = built_presets["fig1"]
-        grid = make_grid(sol, n_cells)
-        op = transformed_operator(sol, grid)
+        op = transformed_operator(sol, n_cells)
+        grid = op.grid
         u0 = uniform_field(grid)
         drifts = []
         masses = [u0.sum() * grid.h]
@@ -192,8 +197,8 @@ class TestEvolve:
 
     def test_distinct_initial_conditions_converge_together(self, built_presets, triangle_field):
         sol = built_presets["fig1"]
-        grid = make_grid(sol, 200)
-        op = transformed_operator(sol, grid)
+        op = transformed_operator(sol, 200)
+        grid = op.grid
         finals = [
             evolve(op, ic, 200, 0.05)[0]
             for ic in (
@@ -213,8 +218,8 @@ class TestEvolve:
             sol = built_presets[name]
             errs = []
             for n in (100, 200, 400):
-                grid = make_grid(sol, n)
-                op = transformed_operator(sol, grid)
+                op = transformed_operator(sol, n)
+                grid = op.grid
                 y = stationary_field(sol, grid)
                 final, _ = evolve(op, y / (y.sum() * grid.h), 100, 0.1)
                 errs.append(l1_distance(final, y, grid))
@@ -223,8 +228,8 @@ class TestEvolve:
 
     def test_validation(self, built_presets):
         sol = built_presets["fig1"]
-        grid = make_grid(sol, 64)
-        op = transformed_operator(sol, grid)
+        op = transformed_operator(sol, 64)
+        grid = op.grid
         with pytest.raises(ValueError):
             evolve(op, uniform_field(grid), 10, 0.0)
         with pytest.raises(ValueError):
@@ -234,21 +239,20 @@ class TestEvolve:
 
     def test_nan_initial_field_rejected(self, built_presets):
         sol = built_presets["fig1"]
-        grid = make_grid(sol, 64)
-        values = uniform_field(grid)
+        op = transformed_operator(sol, 64)
+        values = uniform_field(op.grid)
         values[5] = math.nan
         with pytest.raises(ValueError, match="non-negative"):
-            evolve(transformed_operator(sol, grid), values, 10, 0.1)
+            evolve(op, values, 10, 0.1)
 
     def test_nan_operator_fails_the_mass_drift_test(self, built_presets):
         sol = built_presets["fig1"]
-        grid = make_grid(sol, 64)
-        op = transformed_operator(sol, grid)
-        coeff_right = op.coeff_right.copy()
-        coeff_right[10] = math.nan
+        op = transformed_operator(sol, 64)
+        grid = op.grid
+        upper = op.upper.copy()
+        upper[9] = math.nan
         with pytest.raises(RuntimeError, match="mass drift nan"):
-            evolve(DiscreteOperator(grid, coeff_right, op.coeff_left),
-                   uniform_field(grid), 10, 0.1)
+            evolve(DiscreteOperator(grid, op.lower, upper), uniform_field(grid), 10, 0.1)
 
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
     def test_needs_no_extended_precision(self, built_presets, name, monkeypatch):
@@ -256,32 +260,32 @@ class TestEvolve:
         still conserve mass: one refinement pass in flux form suffices."""
         monkeypatch.setattr(np, "longdouble", np.float64)
         sol = built_presets[name]
-        grid = make_grid(sol, 1600)
-        u0 = uniform_field(grid)
+        op = transformed_operator(sol, 1600)
+        u0 = uniform_field(op.grid)
         drifts = []
-        masses = [u0.sum() * grid.h]
+        masses = [u0.sum() * op.grid.h]
 
         def record(s, m, v):
             drifts.append(abs(m - masses[-1]) / masses[-1])
             masses.append(m)
 
-        evolve(transformed_operator(sol, grid), u0, 10, 1.0, on_step=record)
+        evolve(op, u0, 10, 1.0, on_step=record)
         assert len(drifts) == 10
         assert max(drifts) <= 0.1 * MASS_DRIFT_TOL
 
     @pytest.mark.parametrize("ds", [math.nan, math.inf])
     def test_rejects_non_finite_time_arguments(self, built_presets, ds):
         sol = built_presets["fig1"]
-        grid = make_grid(sol, 64)
+        op = transformed_operator(sol, 64)
         with pytest.raises(ValueError, match="ds"):
-            evolve(transformed_operator(sol, grid), uniform_field(grid), 10, ds)
+            evolve(op, uniform_field(op.grid), 10, ds)
 
     @pytest.mark.parametrize("n_steps", [0, -1, 2.5, 10.0, math.nan, math.inf])
     def test_rejects_bad_step_count(self, built_presets, n_steps):
         sol = built_presets["fig1"]
-        grid = make_grid(sol, 64)
+        op = transformed_operator(sol, 64)
         with pytest.raises(ValueError, match="n_steps"):
-            evolve(transformed_operator(sol, grid), uniform_field(grid), n_steps, 0.1)
+            evolve(op, uniform_field(op.grid), n_steps, 0.1)
 
 
 class TestEvolveMatchesDenseSolve:
@@ -298,9 +302,9 @@ class TestEvolveMatchesDenseSolve:
         from fpmb import pde
 
         sol = built_presets[name]
-        grid = make_grid(sol, 400)
+        op = transformed_operator(sol, 400)
+        grid = op.grid
         n = grid.n_cells
-        op = transformed_operator(sol, grid)
         lap = dense_operator(op)
         factorize = pde.splu
         factorizations = []
@@ -411,8 +415,8 @@ class TestEvolveMatchesStepByStep:
     @pytest.mark.parametrize("ds", [0.05, 1.0])
     def test_same_bits(self, built_presets, name, n_cells, ds, reference_evolve, monkeypatch):
         sol = built_presets[name]
-        grid = make_grid(sol, n_cells)
-        op = transformed_operator(sol, grid)
+        op = transformed_operator(sol, n_cells)
+        grid = op.grid
         u0 = uniform_field(grid)
         n_steps = round(10.0 / ds)
         steps, (final, worst), solves = self._run(evolve, op, u0, n_steps, ds, monkeypatch)
@@ -434,14 +438,14 @@ class TestEvolveMatchesStepByStep:
     def test_tampered_operator_raises_at_the_same_step(
             self, built_presets, tamper, message, reference_evolve, monkeypatch):
         sol = built_presets["fig1"]
-        grid = make_grid(sol, 400)
-        op = transformed_operator(sol, grid)
+        op = transformed_operator(sol, 400)
+        grid = op.grid
         if tamper == "flipped":
             # a sign-flipped face coefficient drives a cell negative after
             # some dozens of steps, inside a block of plain solves
-            coeff_right = op.coeff_right.copy()
-            coeff_right[399] *= -1e-3
-            bad = DiscreteOperator(grid, coeff_right, op.coeff_left)
+            upper = op.upper.copy()
+            upper[398] *= -1e-3
+            bad = DiscreteOperator(grid, op.lower, upper)
         else:
             # the step matrix is off the flux form the residual is taken
             # in, so refinement cannot bring the first step's drift down
@@ -450,7 +454,7 @@ class TestEvolveMatchesStepByStep:
                 def diag(self):
                     return super().diag * (1.0 + 1e-3 * np.linspace(0.0, 1.0, grid.n_cells))
 
-            bad = Skewed(grid, op.coeff_right, op.coeff_left)
+            bad = Skewed(grid, op.lower, op.upper)
         u0 = uniform_field(grid)
         steps, error, _ = self._run(evolve, bad, u0, 200, 0.05, monkeypatch)
         expected, expected_error, _ = self._run(reference_evolve, bad, u0, 200, 0.05, monkeypatch)
