@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
@@ -125,10 +126,10 @@ _KEYS = {
     "z2": ("z2", float, None),
     "beta": ("beta", float, None),
     "out": ("out", str, None),
-    "cells": ("n_cells", int, 3),
+    "cells": ("n_cells", int, pde.MIN_CELLS),
     "paths": ("n_paths", int, 1),
     "seed": ("seed", int, 0),
-    "bins": ("n_bins", int, 10),
+    "bins": ("n_bins", int, sde.MIN_BINS),
 }
 _FIELD_TO_KEY = {name: key for key, (name, _, _) in _KEYS.items()}
 
@@ -166,7 +167,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def format_config(cfg: RunConfig) -> str:
-    """Render a config so that parse_config(format_config(cfg)) == cfg."""
+    """Render a config so that parse_config(format_config(cfg)) == cfg; a text
+    value that would read back differently (one holding a '#' or a line break,
+    or with surrounding whitespace) raises a ValueError naming its key."""
     lines = []
     for key, (name, parse, _) in _KEYS.items():
         value = getattr(cfg, name)
@@ -175,6 +178,8 @@ def format_config(cfg: RunConfig) -> str:
         if parse is _times:
             rendered = ", ".join(repr(v) for v in value)
         elif parse is str:
+            if "#" in value or value != value.strip() or len(value.splitlines()) > 1:
+                raise ValueError(f"{key!r} value {value!r} cannot be written to a config")
             rendered = value
         else:
             rendered = repr(value)
@@ -441,48 +446,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-_INFO = {
-    "I": """\
-Class I: two moving boundaries, reduced domain z1 <= z <= z2 (z1 < z2).
-  f(z)    = a1/(z - z1) - a2/(z2 - z)            (a1, a2 > 0)
-  rho2(z) = (z - z1)(z2 - z)
-  rho1(z) = (alpha - a1 - a2 - 2) z + (a1 + 1) z2 + (a2 + 1) z1
-  y(z)    = A (z - z1)^a1 (z2 - z)^a2
-  A       = 1 / [ (z2 - z1)^(a1+a2+1) B(a1+1, a2+1) ]
-Physical domain [z1 t^alpha, z2 t^alpha]; boundaries move away from the
-origin for alpha > 0 and toward it for alpha < 0.  Subclasses by sign of
-(z1, z2); z1 = 0 coincides with Class II at beta = 0.  Reflected variants
-come from mirror(): swap (a1, a2) and negate/swap (z1, z2).""",
-    "II": """\
-Class II: one moving boundary, the origin is a fixed endpoint; 0 <= z <= z2.
-  f(z)    = a1/z - a2/(z2 - z) + beta            (a1, a2 > 0, beta real)
-  rho2(z) = z (z2 - z)
-  rho1(z) = -beta z^2 + (alpha - a1 - a2 - 2 + beta z2) z + (a1 + 1) z2
-  y(z)    = A z^a1 (z2 - z)^a2 e^(beta z)
-  A       = 1 / [ z2^(a1+a2+1) B(a1+1, a2+1) 1F1(a1+1; a1+a2+2; beta z2) ]
-Physical domain [0, z2 t^alpha].  The negative half-line variant is the
-mirror image: evaluate the density at -x with swapped exponents and
-negated beta.""",
-    "III": """\
-Class III: half line with a moving left edge; z1 <= z < inf, z1 >= 0, beta > 0.
-  y(z)    = A (z - z1)^a1 z^a2 e^(-beta z)       (the defining object)
-  f(z)    = y'/y = a1/(z - z1) + a2/z - beta     (derived, not transcribed)
-  rho2(z) = (z - z1) z
-  rho1(z) = -beta z^2 + (alpha + a1 + a2 + 2 + beta z1) z - (a2 + 1) z1
-  A       : quadrature of y is the primary source; the closed form
-            1 / [ beta^-((a1+a2+2)/2) z1^((a1+a2)/2) Gamma(a1+1)
-                  e^(-beta z1 / 2) W_{(a2-a1)/2, (a1+a2+1)/2}(beta z1) ]
-            (Whittaker argument beta*z1; Gamma-form limit at z1 = 0) is a
-            cross-check only.
-Derivation notes: f and the Whittaker argument are regenerated from y
-itself here; transcribed variants of this family circulate with a2/z2 in
-f and argument beta*z2, which are inconsistent with y and rho1.
-Restricted to z1 >= 0 so the density stays positive and normalizable.""",
-}
-
-
 def cmd_info(args: argparse.Namespace) -> int:
-    print(_INFO[args.family])
+    print(inspect.getdoc(_FAMILIES[args.family]))
     return 0
 
 
@@ -560,7 +525,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_info = sub.add_parser("info", help="describe a solvable family")
-    p_info.add_argument("family", choices=("I", "II", "III"))
+    p_info.add_argument("family", choices=tuple(_FAMILIES))
     p_info.set_defaults(func=cmd_info)
 
     p_presets = sub.add_parser("presets", help="list shipped presets")

@@ -79,6 +79,7 @@ __all__ = [
 
 CHUNK_PATHS = 2**15
 DS_MAX = 0.0075
+MIN_BINS = 10  # fewest bins of a histogram
 
 # xi: +-_XI[0] with probability 1/8 each, +-_XI[1] with 3/8 each, so that
 # E xi^2 = 1 and E xi^4 = 3
@@ -335,8 +336,8 @@ def _binned_densities(
     ens: PathEnsemble, sol: SimilaritySolution, n_bins: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bin edges, empirical bin-averaged density, analytic bin-averaged density."""
-    if n_bins < 10:
-        raise ValueError("need at least 10 bins")
+    if n_bins < MIN_BINS:
+        raise ValueError(f"need at least {MIN_BINS} bins")
     if ens.positions.size == 0:
         raise ValueError("empty ensemble")
     lo, hi = truncated_positions(sol, ens.t)

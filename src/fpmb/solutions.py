@@ -92,11 +92,18 @@ def _check_params(params) -> None:
 
 @dataclass(frozen=True)
 class ClassI:
-    """Two moving boundaries: reduced domain [z1, z2], both endpoints scale.
+    """Class I: two moving boundaries, reduced domain z1 <= z <= z2 (z1 < z2).
 
-    Subclasses by sign pattern: (i) endpoints of one sign, (ii) one endpoint
-    at the origin, (iii) straddling the origin.  The z1 = 0 case coincides
-    with the fixed-origin family at beta = 0.
+      f(z)    = a1/(z - z1) - a2/(z2 - z)            (a1, a2 > 0)
+      rho2(z) = (z - z1)(z2 - z)
+      rho1(z) = (alpha - a1 - a2 - 2) z + (a1 + 1) z2 + (a2 + 1) z1
+      y(z)    = A (z - z1)^a1 (z2 - z)^a2
+      A       = 1 / [ (z2 - z1)^(a1+a2+1) B(a1+1, a2+1) ]
+    Physical domain [z1 t^alpha, z2 t^alpha]; boundaries move away from the
+    origin for alpha > 0 and toward it for alpha < 0.  Subclasses by sign
+    pattern: (i) endpoints of one sign, (ii) one endpoint at the origin,
+    (iii) straddling the origin; z1 = 0 coincides with Class II at beta = 0.
+    Reflected variants come from mirror(): swap (a1, a2) and negate/swap (z1, z2).
     """
 
     z1: float
@@ -116,7 +123,17 @@ class ClassI:
 
 @dataclass(frozen=True)
 class ClassII:
-    """One moving boundary at z2 t^alpha with the origin a fixed endpoint."""
+    """Class II: one moving boundary, the origin is a fixed endpoint; 0 <= z <= z2.
+
+      f(z)    = a1/z - a2/(z2 - z) + beta            (a1, a2 > 0, beta real)
+      rho2(z) = z (z2 - z)
+      rho1(z) = -beta z^2 + (alpha - a1 - a2 - 2 + beta z2) z + (a1 + 1) z2
+      y(z)    = A z^a1 (z2 - z)^a2 e^(beta z)
+      A       = 1 / [ z2^(a1+a2+1) B(a1+1, a2+1) 1F1(a1+1; a1+a2+2; beta z2) ]
+    Physical domain [0, z2 t^alpha].  The negative half-line variant is the
+    mirror image: evaluate the density at -x with swapped exponents and
+    negated beta.
+    """
 
     z2: float
     a1: float
@@ -135,8 +152,20 @@ class ClassII:
 
 @dataclass(frozen=True)
 class ClassIII:
-    """Half line [z1 t^alpha, inf) with a moving left edge.
+    """Class III: half line with a moving left edge; z1 <= z < inf, z1 >= 0, beta > 0.
 
+      y(z)    = A (z - z1)^a1 z^a2 e^(-beta z)       (the defining object)
+      f(z)    = y'/y = a1/(z - z1) + a2/z - beta     (derived, not transcribed)
+      rho2(z) = (z - z1) z
+      rho1(z) = -beta z^2 + (alpha + a1 + a2 + 2 + beta z1) z - (a2 + 1) z1
+      A       : quadrature of y is the primary source; the closed form
+                1 / [ beta^-((a1+a2+2)/2) z1^((a1+a2)/2) Gamma(a1+1)
+                      e^(-beta z1 / 2) W_{(a2-a1)/2, (a1+a2+1)/2}(beta z1) ]
+                (Whittaker argument beta*z1; Gamma-form limit at z1 = 0) is a
+                cross-check only.
+    Derivation notes: f and the Whittaker argument are regenerated from y
+    itself here; transcribed variants of this family circulate with a2/z2 in
+    f and argument beta*z2, which are inconsistent with y and rho1.
     Restricted to z1 >= 0: for z1 < 0 the factor z^{a2} changes sign inside
     the domain and the diffusion profile vanishes at the interior point
     z = 0, so the density is no longer positive and normalizable.

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 import scipy.linalg.lapack
 
 import fpmb
-from fpmb import PRESETS, coefficients, current, density, pde, sde
+from fpmb import PRESETS, ClassI, ClassII, ClassIII, coefficients, current, density, pde, sde
 from fpmb.cli import (
     RunConfig,
     _csv_block,
@@ -27,7 +28,7 @@ from fpmb.cli import (
     preset_names,
     run_checks,
 )
-from fpmb.solutions import truncated_positions
+from fpmb.solutions import _physical_drift, interior_points, truncated_positions
 
 
 class TestConfig:
@@ -52,6 +53,18 @@ class TestConfig:
             n_bins=33,
         )
         assert parse_config(format_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("out", ["run#1.csv", " lead.csv", "trail.csv ", "a\nb.csv",
+                                     "a\rb.csv"])
+    def test_text_that_would_read_back_differently_is_refused(self, out):
+        cfg = dataclasses.replace(load_preset_config("fig1"), out=out)
+        with pytest.raises(ValueError, match="^'out' value .* cannot be written to a config"):
+            format_config(cfg)
+
+    def test_out_flag_takes_a_name_a_config_cannot_hold(self, tmp_path, capsys):
+        out = tmp_path / "run#1.csv"
+        assert main(["eval", "--preset", "fig1", "--out", str(out)]) == 0
+        assert out.read_text().startswith("t,x,W,J,D1,D2\n")
 
     def test_preset_files_match_library_presets(self):
         for name in preset_names():
@@ -786,6 +799,23 @@ class TestVerify:
         assert m == pytest.approx(1.0, abs=1e-10)
         assert l1 <= 1e-2
 
+    @pytest.mark.parametrize("n_cells", range(3, 11))
+    def test_half_line_pde_checks_run_on_few_cells(self, n_cells):
+        """A Class III grid of as few cells as the config takes is built and
+        evolved: the PDE checks measure it, and mass is conserved."""
+        cfg = dataclasses.replace(load_preset_config("fig5"), n_cells=n_cells)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = run_checks(cfg)
+        assert [r.error for r in results if r.name.startswith("pde_")] == [None, None]
+        assert _result(results, "pde_mass_drift").passed
+
+    def test_coarse_half_line_verify_fails_without_an_error(self, capsys):
+        assert main(["verify", "--preset", "fig5", "--cells", "8"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] pde_attractor_l1" in out
+        assert " error " not in out
+
     @pytest.mark.parametrize("n_cells", [400, 1600])
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_pde_checks_read_the_step_by_step_loop(self, name, n_cells, reference_evolve,
@@ -880,6 +910,19 @@ class TestRaisingChecks:
         assert results["normalization"].passed
 
 
+def _printed_profile(text: str, name: str) -> str:
+    """The right-hand side of the ``name(z) = ...`` line of ``text`` as Python:
+    '*' between adjacent operands and '**' for '^'."""
+    tokens = re.findall(r"\w+|\S", re.search(rf"^\s*{name}\(z\) = (.+)$", text, re.M)[1])
+    expr = []
+    for token in tokens:
+        if expr and (expr[-1] == ")" or expr[-1][-1].isalnum()) and (
+                token == "(" or token[0].isalnum()):
+            expr.append("*")
+        expr.append("**" if token == "^" else token)
+    return " ".join(expr)
+
+
 class TestInfoAndPresets:
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0
@@ -902,6 +945,29 @@ class TestInfoAndPresets:
         out = capsys.readouterr().out
         assert "derived, not transcribed" in out
         assert "beta*z1" in out
+
+    @pytest.mark.parametrize("family, cls", [("I", ClassI), ("II", ClassII), ("III", ClassIII)])
+    def test_info_prints_the_class_docstring(self, family, cls, capsys):
+        assert main(["info", family]) == 0
+        assert capsys.readouterr().out == inspect.getdoc(cls) + "\n"
+
+    def test_printed_profiles_match_the_generated_ones(self, random_models, capsys):
+        """The rho1(z) and rho2(z) lines that info prints, evaluated on each
+        random model, give its physical drift and its diffusion profile."""
+        printed = {}
+        for family in ("I", "II", "III"):
+            main(["info", family])
+            text = capsys.readouterr().out
+            printed[family] = [_printed_profile(text, name) for name in ("rho1", "rho2")]
+        for sol in random_models:
+            z = interior_points(sol, 50)
+            names = dataclasses.asdict(sol.class_params) | {"alpha": sol.alpha, "z": z}
+            family = type(sol.class_params).__name__.removeprefix("Class")
+            for expr, coefs in zip(printed[family], (_physical_drift(sol), sol.diffusion_coefs)):
+                expected = np.polynomial.polynomial.polyval(z, coefs)
+                scale = max(map(abs, coefs)) * max(1.0, float(np.abs(z).max())) ** 2
+                np.testing.assert_allclose(eval(expr, {"__builtins__": {}}, names), expected,
+                                           rtol=1e-12, atol=1e-12 * scale, err_msg=expr)
 
 
 class TestSample:

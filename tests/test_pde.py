@@ -103,10 +103,6 @@ class TestOperator:
             assert op.lower.shape == op.upper.shape == (n_cells - 1,)
             assert op.diag.shape == (n_cells,)
 
-    def test_short_half_line_grid_rejected(self, built_presets):
-        with pytest.raises(ValueError, match="too short for the half-line"):
-            transformed_operator(built_presets["fig5"], 5)
-
 
 def peclet_models(built_presets):
     """The presets plus two random models per family, alpha of both signs."""
