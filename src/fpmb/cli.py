@@ -13,6 +13,7 @@ import contextlib
 import functools
 import inspect
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
@@ -535,7 +536,16 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # output still buffered fails here, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``fpmb eval | head -1``): end quietly, with
+        # stdout on devnull so that the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -42,12 +42,19 @@ end, which absorbs rounding, and mapped back as z t^alpha, the product
 ``boundary_positions`` forms, so every returned path lies in the domain at
 its time.
 
-The ensemble is cut into chunks of ``CHUNK_PATHS`` paths.  Each chunk gets
-its own generator from ``ens.rng.spawn`` and is mapped into the output,
-advanced over the whole grid in place and mapped back while it stays in
-cache; chunks run on a thread pool as large as the CPUs the process may use
-(numpy releases the GIL in the generator and the ufuncs).  Results depend on
-the seed and the chunk size, never on the number of threads.
+The ensemble is cut into ceil(n / ``CHUNK_PATHS``) chunks whose sizes
+differ by one path at most.  Each chunk gets its own generator from
+``ens.rng.spawn``, is mapped into the output, advanced over the whole grid
+and mapped back while it stays in cache.  The path state w = z - m is
+stepped in ``PATH_DTYPE``, float32.  Its rounding, about 1e-7 of the
+domain's width per step, lies far below the Monte Carlo noise of any
+ensemble that fits in memory, and it takes half the bytes of float64, so
+each numpy call moves twice the paths for the same cache.  The maps'
+coefficients are formed in float64, and the positions are read and
+written in float64, where the clamp and the map back to x act.  Chunks run
+on a thread pool as large as the CPUs the process may use (numpy releases
+the GIL in the generator and the ufuncs).  Results depend on the seed and
+the number of paths, never on the number of threads.
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ import functools
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -77,7 +83,12 @@ __all__ = [
     "histogram_distance",
 ]
 
-CHUNK_PATHS = 2**15
+# most paths in one chunk: 256 kB of float32 path state
+CHUNK_PATHS = 2**16
+PATH_DTYPE = np.float32
+# uniforms that init_ensemble draws and maps at a time, as many bytes in
+# float64
+DRAW_PATHS = 2**15
 DS_MAX = 0.0075
 MIN_BINS = 10  # fewest bins of a histogram
 
@@ -125,7 +136,7 @@ def init_ensemble(
 ) -> PathEnsemble:
     """Ensemble drawn from the analytic density at t0 by inverse-CDF sampling.
 
-    The uniforms are drawn and mapped ``CHUNK_PATHS`` at a time, so memory
+    The uniforms are drawn and mapped ``DRAW_PATHS`` at a time, so memory
     peaks at one ensemble plus a few chunks.  The generator hands out its
     stream in order, and each uniform maps to its position whatever the
     order it is looked up in, so the positions are those of one full-size
@@ -139,8 +150,8 @@ def init_ensemble(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_tab, cdf = _cdf_table(sol)
     z = np.empty(n_paths)
-    for start in range(0, n_paths, CHUNK_PATHS):
-        chunk = z[start : start + CHUNK_PATHS]
+    for start in range(0, n_paths, DRAW_PATHS):
+        chunk = z[start : start + DRAW_PATHS]
         u = rng.uniform(size=chunk.size)
         # sorted queries let np.interp start each search at the last knot
         o = np.argsort(u)
@@ -159,13 +170,6 @@ def _worker_count() -> int:
 
 
 _Moebius = tuple[float, float, float, float]
-
-
-def _compose(p: _Moebius, q: _Moebius) -> _Moebius:
-    """The map p after q, as the product of their 2 x 2 matrices."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _drift_map(a: float, b: float, c: float, h: float) -> _Moebius:
@@ -199,61 +203,79 @@ def _moebius(p: _Moebius, x: np.ndarray, out: np.ndarray, den: np.ndarray) -> No
 
 
 def _advance(
-    x: np.ndarray,
-    w: np.ndarray,
+    z: np.ndarray,
     rng: np.random.Generator,
     maps: list[_Moebius],
+    m: float,
     kappa: float,
     r2: float,
     rotation: tuple[tuple[float, float], tuple[float, float]],
 ) -> None:
-    """Step one chunk of paths ``x`` by the split step; write them into ``w``.
+    """Step one chunk of reduced positions ``z`` in place by the split step.
 
-    ``maps[0]`` takes a path from x to w = z - m after the first half drift
-    step.  Each later map follows one flow of V1: the next two half drift
-    steps merged, or, for the last, the final half step and the map back to
-    z.  The flow of V1 is w C + sqrt(rho2 / |kappa|) S, with
-    rho2 = kappa (w^2 - r2), where C and S are the cos and sin (cosh and
-    sinh for kappa > 0) of xi sqrt(2 |kappa| ds); ``rotation`` holds
-    (C large, C small) and (S large, S small), for |xi| large and small,
-    with S for xi > 0.  Path k's xi comes from
-    byte k of ``rng``'s raw stream, little-endian, ceil(m / 8) words per
-    step for m paths: bit 0 set makes xi positive, and bits 1 and 2 both
-    set make |xi| large.
+    The path state is w = z - m in ``PATH_DTYPE``; ``z`` stays float64, is
+    read at the start and written at the end, and holds a scratch buffer
+    in between.  ``maps[0]`` is the first half drift step.  Each later map
+    follows one flow of V1: the next two half drift steps merged, or, for
+    the last, the final half step.  The flow of V1 is
+    w C + sqrt(rho2 / |kappa|) S, with rho2 = kappa (w^2 - r2), where C and
+    S are the cos and sin (cosh and sinh for kappa > 0) of
+    xi sqrt(2 |kappa| ds); ``rotation`` holds (C large, C small) and
+    (S large, S small), for |xi| large and small, with S for xi > 0.  Path
+    k's xi comes from byte k of ``rng``'s raw stream, little-endian,
+    ceil(n / 8) words per step for n paths: bit 0 set makes xi positive,
+    and bits 1 and 2 both set make |xi| large.
     """
-    (c_large, c_small), (s_large, s_small) = rotation
+    n = z.size
+    w = np.empty(n, PATH_DTYPE)
     amp = np.empty_like(w)
-    coef = np.empty_like(w)
-    large = np.empty(w.shape, dtype=bool)
-    low = np.empty(w.shape, dtype=np.uint8)
-    n_words = -(-w.size // 8)
-    _moebius(maps[0], x, w, coef)
+    coef = z.view(PATH_DTYPE)[:n]
+    large = np.empty(n, dtype=bool)
+    low = np.empty(n, dtype=np.uint8)
+    n_words = -(-n // 8)
+    # rho2 / |kappa| is (R - w)(R + w), or (w - R)(w + R) for kappa > 0, so
+    # that the factor that vanishes at an endpoint keeps its digits.  With
+    # r2 < 0 rho2 has no real root: for kappa > 0 it is w^2 + gap, for
+    # kappa < 0 never positive
+    root = math.sqrt(max(r2, 0.0))
+    gap = max(-r2, 0.0) if kappa > 0.0 else 0.0
+    # typed constants keep the byte-by-float products in PATH_DTYPE; S is
+    # doubled to meet its sign as +-1/2
+    f = w.dtype.type
+    (c_large, c_small), (s_large, s_small) = rotation
+    c_step, c_small = f(c_large - c_small), f(c_small)
+    s_step, s_small = f(2.0 * (s_large - s_small)), f(2.0 * s_small)
+    np.subtract(z, m, out=w)
+    _moebius(maps[0], w, w, coef)
     for p in maps[1:]:
         raw = rng.bit_generator.random_raw(n_words).astype("<u8", copy=False)
-        bits = raw.view(np.uint8)[: w.size]
+        bits = raw.view(np.uint8)[:n]
         np.bitwise_and(bits, 6, out=low)
         np.equal(low, 6, out=large)
-        # the sign of S, +-1, in amp
-        np.bitwise_and(bits, 1, out=low)
-        np.multiply(low, 2.0, out=amp)
-        amp -= 1.0
-        np.multiply(large, s_large - s_small, out=coef)
-        coef += s_small
-        coef *= amp
         # amp = sqrt(rho2 / |kappa|) S
-        np.multiply(w, w, out=amp)
         if kappa < 0.0:
-            np.subtract(r2, amp, out=amp)
+            np.subtract(root, w, out=amp)
         else:
-            amp -= r2
+            np.subtract(w, root, out=amp)
+        np.add(w, root, out=coef)
+        amp *= coef
+        if gap:
+            amp += gap
         np.maximum(amp, 0.0, out=amp)
         np.sqrt(amp, out=amp)
+        np.bitwise_and(bits, 1, out=low)
+        np.subtract(low, f(0.5), out=coef)
         amp *= coef
-        np.multiply(large, c_large - c_small, out=coef)
+        np.multiply(large, s_step, out=coef)
+        coef += s_small
+        amp *= coef
+        np.multiply(large, c_step, out=coef)
         coef += c_small
         w *= coef
         w += amp
         _moebius(p, w, w, coef)
+    # back to z in float64, which keeps m's digits
+    np.add(w, m, out=z, dtype=z.dtype)
 
 
 def _march(ens: PathEnsemble, sol: SimilaritySolution, t_end: float, k: int) -> PathEnsemble:
@@ -269,34 +291,39 @@ def _march(ens: PathEnsemble, sol: SimilaritySolution, t_end: float, k: int) -> 
     q0, q1, q2 = sol.drift_coefs
     drift = (q0 + m * (q1 + m * q2), q1 + 2.0 * m * q2 - kappa, q2)
     half = _drift_map(*drift, 0.5 * ds)
-    maps = [_compose(half, (ens.t**-sol.alpha, -m, 0.0, 1.0))]
-    maps += [_drift_map(*drift, ds)] * (k - 1) + [_compose((1.0, m, 0.0, 1.0), half)]
+    maps = [half] + [_drift_map(*drift, ds)] * (k - 1) + [half]
     omega = math.sqrt(2.0 * abs(kappa) * ds)
     cos, sin = (math.cos, math.sin) if kappa < 0.0 else (math.cosh, math.sinh)
     rotation = tuple((f(omega * _XI[0]), f(omega * _XI[1])) for f in (cos, sin))
-    z_lo, z_hi, t_alpha = sol.z_lo, sol.z_hi, t_end**sol.alpha
+    z_lo, z_hi = sol.z_lo, sol.z_hi
+    scale_in, scale_out = ens.t**-sol.alpha, t_end**sol.alpha
 
     x = ens.positions
     out = np.empty_like(x)
     n_chunks = -(-x.size // CHUNK_PATHS)
+    # chunk sizes differ by one path at most, and depend on x.size alone
+    starts = [x.size * i // n_chunks for i in range(n_chunks)] + [x.size]
     rngs = ens.rng.spawn(n_chunks)
     # np.errstate does not reach pool threads: each chunk runs under the
     # caller's settings
     errors = np.geterr()
 
     def run(i: int) -> None:
-        part = slice(i * CHUNK_PATHS, (i + 1) * CHUNK_PATHS)
-        w = out[part]
+        part = slice(starts[i], starts[i + 1])
+        z = out[part]
         with np.errstate(**errors):
-            _advance(x[part], w, rngs[i], maps, kappa, r2, rotation)
+            np.multiply(x[part], scale_in, out=z)
+            _advance(z, rngs[i], maps, m, kappa, r2, rotation)
             # rounding can leave a path an ulp outside; NaN only from the input
-            np.clip(w, z_lo, z_hi, out=w)
-            if math.isnan(w.min()):
+            np.clip(z, z_lo, z_hi, out=z)
+            if math.isnan(z.min()):
                 raise RuntimeError("a path position became NaN")
-            w *= t_alpha
+            z *= scale_out
 
     workers = min(_worker_count(), n_chunks)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(n_chunks)))
     else:

@@ -632,18 +632,36 @@ codes = [
     cli.main(["eval", "--preset", "fig5", "--out", out + "/eval.csv"]),
     cli.main(["sample", "--preset", "fig5", "--paths", "2000", "--out", out + "/hist.csv"]),
 ]
-print(codes, "scipy.special" in sys.modules)
+print(codes, "scipy.special" in sys.modules, "concurrent.futures" in sys.modules)
 """
 
 
 def test_subcommands_never_load_scipy_special(tmp_path):
     """Log-gamma comes from the standard library; importing scipy.special
-    would add several MiB of resident memory to every run."""
+    would add several MiB of resident memory to every run.  Nor does a run
+    whose paths fit in one chunk import concurrent.futures, which only the
+    thread pool needs."""
     src = str(Path(fpmb.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _NO_SPECIAL_SCRIPT, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False False"
+
+
+@pytest.mark.parametrize("argv", [["eval", "--preset", "fig1"], ["info", "II"]])
+def test_closed_pipe_ends_without_a_traceback(argv):
+    """``fpmb eval --preset fig1 | head -1``: a reader that has gone ends
+    the run with status 1 and nothing on stderr."""
+    src = str(Path(fpmb.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fpmb.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                              text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 _NO_LINALG_SCRIPT = """

@@ -24,6 +24,7 @@ from fpmb.cli import load_preset_config
 from fpmb.solutions import truncated_positions
 from fpmb.sde import (
     CHUNK_PATHS,
+    DRAW_PATHS,
     PathEnsemble,
     histogram_distance,
     histogram_table,
@@ -65,7 +66,7 @@ class TestInit:
 class TestInitChunks:
     """``init_ensemble`` draws and maps one chunk of uniforms at a time."""
 
-    @pytest.mark.parametrize("n", [1, CHUNK_PATHS, 3 * CHUNK_PATHS + 7])
+    @pytest.mark.parametrize("n", [1, DRAW_PATHS, 3 * DRAW_PATHS + 7])
     def test_positions_match_one_full_draw(self, built_presets, n):
         for name in ("fig1", "fig5"):
             sol, t0 = built_presets[name], PRESETS[name].times[0]
@@ -90,13 +91,15 @@ class TestInitChunks:
         sol, n = built_presets["fig1"], 10**6
         init_ensemble(sol, 10, 0.3, seed=1)  # one-time allocations and the CDF table
         _, peak = self._traced_peak(lambda: init_ensemble(sol, n, 0.3, seed=1))
-        assert peak <= 8 * n + 4 * 8 * CHUNK_PATHS
+        assert peak <= 8 * n + 4 * 8 * 2**15
 
     def test_propagate_peak_is_two_ensembles_plus_worker_buffers(self, built_presets):
         """The input ensemble, the output it is mapped into chunk by chunk,
-        and per worker two float buffers of one chunk and three byte
-        buffers (two masks and the raw bits), together within three float
-        buffers."""
+        and per worker the path state and one scratch buffer of one chunk
+        in float32 (the other scratch buffer lives in the chunk's slice of
+        the output) and three byte buffers (two masks and the raw bits):
+        within three float64 buffers of 2^15 paths, whatever CHUNK_PATHS
+        is."""
         sol, n = built_presets["fig1"], 10**6
         propagate(init_ensemble(sol, 3 * CHUNK_PATHS, 0.3, seed=1), sol, 0.302)
 
@@ -108,7 +111,7 @@ class TestInitChunks:
         out, peak = self._traced_peak(run)
         assert out.t == 0.302
         workers = min(sde._worker_count(), -(-n // CHUNK_PATHS))
-        assert peak <= 2 * 8 * n + workers * 3 * 8 * CHUNK_PATHS
+        assert peak <= 2 * 8 * n + workers * 3 * 8 * 2**15
 
 
 class TestStep:
@@ -239,11 +242,16 @@ def equivalence_models(built_presets):
 
 
 class TestQuadraticStepper:
-    def test_matches_reference_step(self, built_presets):
-        # 100 steps of dt = 1e-3, and one step of 0.15 t on fig5, which
-        # carries paths around the finite end
+    def test_matches_reference_step(self, built_presets, monkeypatch):
+        # 100 steps of dt = 1e-3, one step of 0.15 t on fig5, which carries
+        # paths around the finite end, and fig5 with rho2 raised until it
+        # has no real root; the stepper's own code, in float64 arithmetic
+        monkeypatch.setattr(sde, "PATH_DTYPE", np.float64)
         runs = [(sol, t0, 1e-3, 100) for sol, t0 in equivalence_models(built_presets)]
-        runs.append((built_presets["fig5"], 0.5, 0.075, 1))
+        fig5 = built_presets["fig5"]
+        r0, r1, kappa = fig5.diffusion_coefs
+        rootless = dataclasses.replace(fig5, diffusion_coefs=(r0 + 0.1, r1, kappa))
+        runs += [(fig5, 0.5, 0.075, 1), (rootless, 0.5, 1e-3, 100)]
         for sol, t0, dt, n_steps in runs:
             ens = init_ensemble(sol, 20_000, t0, seed=12)
             ref = init_ensemble(sol, 20_000, t0, seed=12)
@@ -277,18 +285,20 @@ def stress_models(built_presets):
 class TestSplitStep:
     @pytest.mark.parametrize("ds", [0.5, 0.2])
     def test_coarse_steps_stay_in_domain(self, built_presets, monkeypatch, ds):
-        """20 steps of log-time ds: every path stays finite and, before the
-        final clamp, inside the reduced domain up to rounding."""
+        """20 steps of log-time ds in float64 arithmetic: every path stays
+        finite and, before the final clamp, inside the reduced domain up to
+        rounding."""
         advance, worst = sde._advance, []
 
-        def checked(x, w, *args):
+        def checked(z, *args):
             # errstate is per thread, and chunks run on the worker threads
             with np.errstate(all="raise"):
-                advance(x, w, *args)
-            assert np.isfinite(w).all()
-            worst.append(max(sol.z_lo - w.min(), w.max() - sol.z_hi) / scale)
+                advance(z, *args)
+            assert np.isfinite(z).all()
+            worst.append(max(sol.z_lo - z.min(), z.max() - sol.z_hi) / scale)
 
         monkeypatch.setattr(sde, "_advance", checked)
+        monkeypatch.setattr(sde, "PATH_DTYPE", np.float64)
         for sol, t0 in stress_models(built_presets):
             scale = max(1.0, abs(sol.z_lo), abs(effective_upper(sol)))
             ens = init_ensemble(sol, 100_000, t0, seed=21)
@@ -341,7 +351,7 @@ class TestReproducibility:
 
 
 def propagated(sol, t0, seed):
-    """Three full chunks plus a ragged one, over the first 20 steps."""
+    """Four chunks, of 49,153 or 49,154 paths, over the first 20 steps."""
     ens = init_ensemble(sol, 3 * CHUNK_PATHS + 7, t0, seed)
     return propagate(ens, sol, t0 + 0.02)
 
@@ -381,6 +391,22 @@ class TestChunkedEngine:
             propagate(ens, sol, 0.31)
         assert seen == ["raise"] * 3
 
+    @pytest.mark.parametrize("n", [1, CHUNK_PATHS, CHUNK_PATHS + 1, 200_000, 3 * CHUNK_PATHS + 7])
+    def test_equal_chunks_set_by_the_path_count(self, built_presets, monkeypatch, n):
+        """ceil(n / CHUNK_PATHS) chunks, whose sizes differ by one path at most."""
+        advance, sizes = sde._advance, []
+
+        def recording(z, *args):
+            sizes.append(z.size)
+            return advance(z, *args)
+
+        monkeypatch.setattr(sde, "_advance", recording)
+        sol = built_presets["fig1"]
+        step_ensemble(init_ensemble(sol, n, 0.3, seed=3), sol, 1e-4)
+        assert len(sizes) == -(-n // CHUNK_PATHS)
+        assert sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1
+
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig5"])
     def test_seed_fixes_results(self, built_presets, name):
         sol, t0 = built_presets[name], PRESETS[name].times[0]
@@ -388,6 +414,22 @@ class TestChunkedEngine:
         assert np.array_equal(a.positions, b.positions)
         c = propagated(sol, t0, seed=42)
         assert not np.array_equal(a.positions, c.positions)
+
+
+class TestPathDtype:
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_float32_paths_follow_float64_paths(self, built_presets, monkeypatch, name):
+        """The verify ensemble stepped in float32 stays within 1e-5 of the
+        domain's width of the same stream stepped in float64."""
+        sol = built_presets[name]
+        runs = {}
+        for dtype in (np.float32, np.float64):
+            monkeypatch.setattr(sde, "PATH_DTYPE", dtype)
+            # a fresh ensemble each: the chunks' streams are spawned from ens.rng
+            runs[dtype] = verify_run(name, sol)
+        lo, hi = truncated_positions(sol, runs[np.float64].t)
+        gap = float(np.abs(runs[np.float32].positions - runs[np.float64].positions).max())
+        assert 0.0 < gap <= 1e-5 * (hi - lo)
 
 
 class TestNonFiniteInputs:
