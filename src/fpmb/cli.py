@@ -13,6 +13,7 @@ import contextlib
 import functools
 import inspect
 import math
+import numbers
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
@@ -91,7 +92,11 @@ class RunConfig:
             raise ValueError("times must be a non-empty list of finite positive values")
         for key, (name, _, minimum) in _KEYS.items():
             value = getattr(self, name)
-            if minimum is not None and value < minimum:
+            if minimum is None:
+                continue
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key!r} must be a whole number, got {value!r}")
+            if value < minimum:
                 raise ValueError(f"{key!r} must be at least {minimum}, got {value!r}")
         taken = {f.name for f in fields(_FAMILIES[self.class_name])}
         for name in _PARAMETERS:

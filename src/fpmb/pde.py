@@ -31,7 +31,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -46,7 +45,10 @@ import scipy
 
 from .solutions import (
     SimilaritySolution,
+    _count,
     _log_y,
+    _positive,
+    _value,
     coefficients,
     density,
     effective_upper,
@@ -89,8 +91,7 @@ class ZGrid:
             raise ValueError("grid endpoints must be finite")
         if not self.z_lo < self.z_hi:
             raise ValueError(f"need z_lo < z_hi, got [{self.z_lo!r}, {self.z_hi!r}]")
-        if self.n_cells < MIN_CELLS:
-            raise ValueError(f"need at least {MIN_CELLS} cells")
+        _count("n_cells", self.n_cells, MIN_CELLS)
         faces = np.linspace(self.z_lo, self.z_hi, self.n_cells + 1)
         object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "centers", 0.5 * (faces[:-1] + faces[1:]))
@@ -275,10 +276,8 @@ def evolve(
     steps, solve little more than step by step.  Steps, masses, errors and
     the final field are those of refining step by step, to the bit.
     """
-    if not 0.0 < ds < math.inf:
-        raise ValueError(f"need a finite ds > 0, got {ds!r}")
-    if not isinstance(n_steps, numbers.Integral) or n_steps < 1:
-        raise ValueError(f"need a whole number n_steps >= 1, got {n_steps!r}")
+    ds = _positive("ds", ds)
+    n_steps = _count("n_steps", n_steps, 1)
     u = np.asarray(u0, dtype=float).copy()
     if u.shape != (op.grid.n_cells,):
         raise ValueError("field does not match the grid")
@@ -354,13 +353,6 @@ def l1_distance(a: np.ndarray, b: np.ndarray, grid: ZGrid) -> float:
     return float(np.abs(np.asarray(a) - np.asarray(b)).sum() * grid.h)
 
 
-def _check_steps(h: float, dt: float) -> None:
-    """Rejects a stencil step h or dt that is not finite and positive."""
-    for name, value in (("h", h), ("dt", dt)):
-        if not 0.0 < value < math.inf:  # NaN fails too
-            raise ValueError(f"need a finite {name} > 0, got {value!r}")
-
-
 def fpe_residual_at(sol: SimilaritySolution, x, t: float, h: float, dt: float):
     """Central-difference residual of the forward equation at x (a point or an array).
 
@@ -369,7 +361,7 @@ def fpe_residual_at(sol: SimilaritySolution, x, t: float, h: float, dt: float):
     The coefficients and the density are evaluated once on the stacked
     stencil [x - h, x, x + h].
     """
-    _check_steps(h, dt)
+    h, dt = _positive("h", h), _positive("dt", dt)
     if t - dt <= 0.0:
         raise ValueError("need t - dt > 0")
     x = np.asarray(x, dtype=float)
@@ -380,13 +372,12 @@ def fpe_residual_at(sol: SimilaritySolution, x, t: float, h: float, dt: float):
     dw_dt = (density(sol, x, t + dt) - density(sol, x, t - dt)) / (2.0 * dt)
     d_flux1 = (flux1[2] - flux1[0]) / (2.0 * h)
     d2_flux2 = (flux2[2] - 2.0 * flux2[1] + flux2[0]) / h**2
-    out = dw_dt + d_flux1 - d2_flux2
-    return float(out) if out.ndim == 0 else out
+    return _value(dw_dt + d_flux1 - d2_flux2)
 
 
 def probe_window(sol: SimilaritySolution, t: float, h: float, dt: float) -> tuple[float, float]:
     """Interval staying strictly inside the moving domain for t-dt..t+dt."""
-    _check_steps(h, dt)
+    h, dt = _positive("h", h), _positive("dt", dt)
     los, his = [], []
     for tt in (t - dt, t, t + dt):
         lo, hi = truncated_positions(sol, tt)

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -69,6 +68,8 @@ import numpy as np
 
 from .solutions import (
     SimilaritySolution,
+    _count,
+    _positive,
     effective_upper,
     reduced_density,
     truncated_positions,
@@ -123,14 +124,6 @@ def _cdf_table(sol: SimilaritySolution) -> tuple[np.ndarray, np.ndarray]:
     return z, cdf
 
 
-def _require(name: str, value: float) -> float:
-    """``value`` as a float if finite and > 0; else ValueError."""
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"need a finite positive {name}, got {value!r}")
-    return value
-
-
 def init_ensemble(
     sol: SimilaritySolution, n_paths: int, t0: float, seed: int
 ) -> PathEnsemble:
@@ -142,11 +135,9 @@ def init_ensemble(
     order it is looked up in, so the positions are those of one full-size
     draw, to the bit.
     """
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"need a non-negative integer seed, got {seed!r}")
-    t0 = _require("t0", t0)
+    n_paths = _count("n_paths", n_paths, 1)
+    seed = _count("seed", seed, 0)
+    t0 = _positive("t0", t0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_tab, cdf = _cdf_table(sol)
     z = np.empty(n_paths)
@@ -337,8 +328,8 @@ def step_ensemble(ens: PathEnsemble, sol: SimilaritySolution, dt: float) -> Path
 
     The step is taken in the reduced coordinates over ds = ln((t + dt) / t).
     """
-    t = _require("ensemble time t", ens.t)
-    dt = _require("dt", dt)
+    t = _positive("ensemble time t", ens.t)
+    dt = _positive("dt", dt)
     return _march(ens, sol, t + dt, 1)
 
 
@@ -351,9 +342,9 @@ def propagate(
     steps.  The step's flows keep every path in the domain whatever ds is,
     so ds_max bounds only the bias, which is of order ds^2.
     """
-    t = _require("ensemble time t", ens.t)
-    t_end = _require("t_end", t_end)
-    ds_max = _require("ds_max", ds_max)
+    t = _positive("ensemble time t", ens.t)
+    t_end = _positive("t_end", t_end)
+    ds_max = _positive("ds_max", ds_max)
     if t_end <= t:
         raise ValueError("t_end must exceed the ensemble time")
     return _march(ens, sol, t_end, math.ceil(math.log(t_end / t) / ds_max))
@@ -363,8 +354,7 @@ def _binned_densities(
     ens: PathEnsemble, sol: SimilaritySolution, n_bins: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bin edges, empirical bin-averaged density, analytic bin-averaged density."""
-    if n_bins < MIN_BINS:
-        raise ValueError(f"need at least {MIN_BINS} bins")
+    n_bins = _count("n_bins", n_bins, MIN_BINS)
     if ens.positions.size == 0:
         raise ValueError("empty ensemble")
     lo, hi = truncated_positions(sol, ens.t)

@@ -29,6 +29,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -447,47 +449,68 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
     )
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"densities are defined for t > 0 only, got t={t!r}")
-    return t
+def _positive(name: str, value) -> float:
+    """``value`` as a float if finite and > 0; else a ValueError naming it."""
+    value = float(value)
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"need a finite {name} > 0, got {value!r}")
+    return value
 
 
-def _interior_anchor(sol: SimilaritySolution) -> float:
-    return sol.z_lo + 1.0 if math.isinf(sol.z_hi) else 0.5 * (sol.z_lo + sol.z_hi)
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` if a whole number no smaller than ``minimum``; else a
+    ValueError naming it."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"need a whole number {name} >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _on_domain(sol: SimilaritySolution, z, closed: bool = False):
+    """Mask of the points of z on the open domain (with ``closed``, on the
+    domain with its finite endpoints), and z with every other point, NaN
+    and +-inf among them, moved to an interior anchor, where every
+    profile is finite."""
+    z = np.asarray(z, dtype=float)
+    if closed:
+        inside = (z >= sol.z_lo) & (z <= min(sol.z_hi, sys.float_info.max))
+    else:
+        inside = (z > sol.z_lo) & (z < sol.z_hi)
+    anchor = sol.z_lo + 1.0 if math.isinf(sol.z_hi) else 0.5 * (sol.z_lo + sol.z_hi)
+    return inside, np.where(inside, z, anchor)
+
+
+def _value(out):
+    """A 0-d result as a float, any other as the array."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def reduced_density(sol: SimilaritySolution, z):
     """Normalized reduced density y(z); zero outside the open domain."""
-    z = np.asarray(z, dtype=float)
-    inside = (z > sol.z_lo) & (z < sol.z_hi)
-    z_safe = np.where(inside, z, _interior_anchor(sol))
-    out = np.where(inside, sol.norm_A * np.exp(_log_y(sol, z_safe)), 0.0)
-    return float(out) if out.ndim == 0 else out
+    inside, z = _on_domain(sol, z)
+    return _value(np.where(inside, sol.norm_A * np.exp(_log_y(sol, z)), 0.0))
 
 
 def density(sol: SimilaritySolution, x, t: float):
     """Density W(x, t) = t^{-alpha} y(x / t^alpha); zero outside the moving domain."""
-    t = _check_time(t)
-    t_alpha = t**sol.alpha
+    t_alpha = _positive("t", t) ** sol.alpha
     x = np.asarray(x, dtype=float)
-    out = np.asarray(reduced_density(sol, x / t_alpha)) / t_alpha
-    return float(out) if out.ndim == 0 else out
+    return _value(np.asarray(reduced_density(sol, x / t_alpha)) / t_alpha)
 
 
 def current(sol: SimilaritySolution, x, t: float, w=None):
-    """Probability current J(x, t) = (alpha / t) x W(x, t).
+    """Probability current J(x, t) = (alpha / t) x W(x, t); zero wherever W is.
 
     ``w``, if given, must be ``density(sol, x, t)`` for the same arguments;
     a caller that already has W passes it so W is not evaluated twice.
     """
-    t = _check_time(t)
+    t = _positive("t", t)
     x = np.asarray(x, dtype=float)
     if w is None:
         w = density(sol, x, t)
-    out = (sol.alpha / t) * x * np.asarray(w)
-    return float(out) if out.ndim == 0 else out
+    # W is 0 at x = +-inf and NaN, where x W would be NaN; every finite x
+    # stays, so that J keeps the sign of x where W is 0
+    x = np.where(np.isfinite(x), x, 0.0)
+    return _value((sol.alpha / t) * x * np.asarray(w))
 
 
 def _physical_drift(sol: SimilaritySolution) -> tuple[float, float, float]:
@@ -504,19 +527,14 @@ def current_from_definition(sol: SimilaritySolution, x, t: float):
     consistency check, and breaks if the coefficients of either profile
     are tampered with.
     """
-    t = _check_time(t)
-    t_alpha = t**sol.alpha
-    x = np.asarray(x, dtype=float)
-    z = x / t_alpha
-    inside = (z > sol.z_lo) & (z < sol.z_hi)
-    z_safe = np.where(inside, z, _interior_anchor(sol))
-    y = sol.norm_A * np.exp(_log_y(sol, z_safe))
-    y_prime = f(sol, z_safe) * y
-    rho1 = _quadratic(_physical_drift(sol), z_safe)
-    drift = rho1 - _quadratic_prime(sol.diffusion_coefs, z_safe)
-    val = drift * y - rho2(sol, z_safe) * y_prime
-    out = np.where(inside, val / t, 0.0)
-    return float(out) if out.ndim == 0 else out
+    t = _positive("t", t)
+    inside, z = _on_domain(sol, np.asarray(x, dtype=float) / t**sol.alpha)
+    y = sol.norm_A * np.exp(_log_y(sol, z))
+    y_prime = f(sol, z) * y
+    rho1 = _quadratic(_physical_drift(sol), z)
+    drift = rho1 - _quadratic_prime(sol.diffusion_coefs, z)
+    val = drift * y - rho2(sol, z) * y_prime
+    return _value(np.where(inside, val / t, 0.0))
 
 
 def coefficients(sol: SimilaritySolution, x, t: float):
@@ -530,44 +548,38 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     the rounding of rho2 next to an endpoint, and exactly 0 at the
     endpoints, where the profile vanishes.
     """
-    t = _check_time(t)
-    t_alpha = t**sol.alpha
-    x = np.asarray(x, dtype=float)
-    z = x / t_alpha
-    inside = (z >= sol.z_lo) & (z <= sol.z_hi)
-    z_safe = np.where(inside, z, _interior_anchor(sol))
+    t = _positive("t", t)
+    z = np.asarray(x, dtype=float) / t**sol.alpha
+    closed, z_safe = _on_domain(sol, z, closed=True)
+    interior, _ = _on_domain(sol, z)
     rho1 = _quadratic(_physical_drift(sol), z_safe)
-    d1 = np.where(inside, t ** (sol.alpha - 1.0) * rho1, 0.0)
+    d1 = np.where(closed, t ** (sol.alpha - 1.0) * rho1, 0.0)
     rho2_z = np.maximum(rho2(sol, z_safe), 0.0)
-    d2 = np.where((z > sol.z_lo) & (z < sol.z_hi), t ** (2.0 * sol.alpha - 1.0) * rho2_z, 0.0)
-    if d1.ndim == 0:
-        return float(d1), float(d2)
-    return d1, d2
+    d2 = np.where(interior, t ** (2.0 * sol.alpha - 1.0) * rho2_z, 0.0)
+    return _value(d1), _value(d2)
 
 
 def boundary_positions(sol: SimilaritySolution, t: float) -> tuple[float, float]:
     """Instantaneous domain endpoints (z_lo t^alpha, z_hi t^alpha)."""
-    t = _check_time(t)
-    t_alpha = t**sol.alpha
+    t_alpha = _positive("t", t) ** sol.alpha
     hi = sol.z_hi
     return sol.z_lo * t_alpha, math.inf if math.isinf(hi) else hi * t_alpha
 
 
 def truncated_positions(sol: SimilaritySolution, t: float) -> tuple[float, float]:
     """Domain endpoints at t, a half line cut at ``effective_upper``."""
-    t_alpha = _check_time(t) ** sol.alpha
+    t_alpha = _positive("t", t) ** sol.alpha
     return sol.z_lo * t_alpha, effective_upper(sol) * t_alpha
 
 
 def moment(sol: SimilaritySolution, k: int, t: float) -> float:
     """k-th moment of W(., t): equals t^{k alpha} times the reduced moment."""
-    if k < 0 or k != int(k):
-        raise ValueError(f"moment order must be a non-negative integer, got {k!r}")
-    t = _check_time(t)
-    res = _reduced_mass(sol, weight_power=int(k))
+    k = _count("k", k, 0)
+    t = _positive("t", t)
+    res = _reduced_mass(sol, weight_power=k)
     if not res.converged:
         raise RuntimeError(f"moment quadrature failed: error {res.abs_error_estimate:.3e}")
-    return t ** (int(k) * sol.alpha) * sol.norm_A * res.value
+    return t ** (k * sol.alpha) * sol.norm_A * res.value
 
 
 def mass(sol: SimilaritySolution, t: float) -> float:
@@ -579,7 +591,7 @@ def mass(sol: SimilaritySolution, t: float) -> float:
     normalization quadrature (``_domain_quadrature``), mapped to x by
     t^alpha; a half line is integrated to infinity.
     """
-    t = _check_time(t)
+    t = _positive("t", t)
 
     def w_of_x(x):
         return density(sol, x, t)
@@ -621,8 +633,7 @@ def reduced_ode_residual(sol: SimilaritySolution, z):
 
 def interior_points(sol: SimilaritySolution, n: int) -> np.ndarray:
     """n cell midpoints inside the reduced domain, a half line cut at ``effective_upper``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count("n", n, 1)
     step = (effective_upper(sol) - sol.z_lo) / n
     return sol.z_lo + (np.arange(n) + 0.5) * step
 

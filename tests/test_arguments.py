@@ -1,0 +1,155 @@
+"""Every entry point refuses a bad count or time with a ValueError that names
+the argument, before numpy meets the value; the evaluators are 0 off the
+domain, at x = +-inf and NaN included."""
+
+import math
+import warnings
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from fpmb import (
+    PRESETS,
+    boundary_positions,
+    coefficients,
+    current,
+    current_from_definition,
+    density,
+    interior_points,
+    mass,
+    moment,
+)
+from fpmb.pde import (
+    evolve,
+    fpe_residual_at,
+    make_grid,
+    probe_window,
+    transformed_operator,
+    uniform_field,
+)
+from fpmb.sde import (
+    PathEnsemble,
+    histogram_distance,
+    histogram_table,
+    init_ensemble,
+    propagate,
+    step_ensemble,
+)
+from fpmb.solutions import truncated_positions
+
+
+@pytest.fixture(scope="module")
+def fig1(built_presets):
+    """fig1 with a valid ensemble and operator to pass the bad values to."""
+    sol = built_presets["fig1"]
+    return SimpleNamespace(sol=sol, ens=init_ensemble(sol, 100, 0.3, seed=1),
+                           op=transformed_operator(sol, 16))
+
+
+def _at_time(t):
+    """An ensemble of fig1 at time t, which may be bad."""
+    return PathEnsemble(positions=np.array([2.0]), t=t, rng=np.random.default_rng(0))
+
+
+# entry point: (argument name, call of (the fig1 fixture, bad value))
+COUNTS = {
+    "moment": ("k", lambda c, v: moment(c.sol, v, 0.5)),
+    "interior_points": ("n", lambda c, v: interior_points(c.sol, v)),
+    "make_grid": ("n_cells", lambda c, v: make_grid(c.sol, v)),
+    "transformed_operator": ("n_cells", lambda c, v: transformed_operator(c.sol, v)),
+    "evolve": ("n_steps", lambda c, v: evolve(c.op, uniform_field(c.op.grid), v, 0.05)),
+    "init_ensemble-paths": ("n_paths", lambda c, v: init_ensemble(c.sol, v, 0.3, 1)),
+    "init_ensemble-seed": ("seed", lambda c, v: init_ensemble(c.sol, 10, 0.3, v)),
+    "histogram_distance": ("n_bins", lambda c, v: histogram_distance(c.ens, c.sol, v)),
+    "histogram_table": ("n_bins", lambda c, v: histogram_table(c.ens, c.sol, v)),
+}
+
+TIMES = {
+    "density": ("t", lambda c, v: density(c.sol, 2.0, v)),
+    "current": ("t", lambda c, v: current(c.sol, 2.0, v)),
+    "current_from_definition": ("t", lambda c, v: current_from_definition(c.sol, 2.0, v)),
+    "coefficients": ("t", lambda c, v: coefficients(c.sol, 2.0, v)),
+    "mass": ("t", lambda c, v: mass(c.sol, v)),
+    "moment": ("t", lambda c, v: moment(c.sol, 1, v)),
+    "boundary_positions": ("t", lambda c, v: boundary_positions(c.sol, v)),
+    "truncated_positions": ("t", lambda c, v: truncated_positions(c.sol, v)),
+    "evolve": ("ds", lambda c, v: evolve(c.op, uniform_field(c.op.grid), 10, v)),
+    "fpe_residual_at-h": ("h", lambda c, v: fpe_residual_at(c.sol, 2.0, 0.5, v, 0.01)),
+    "fpe_residual_at-dt": ("dt", lambda c, v: fpe_residual_at(c.sol, 2.0, 0.5, 0.01, v)),
+    "probe_window-h": ("h", lambda c, v: probe_window(c.sol, 0.5, v, 0.01)),
+    "probe_window-dt": ("dt", lambda c, v: probe_window(c.sol, 0.5, 0.01, v)),
+    "init_ensemble": ("t0", lambda c, v: init_ensemble(c.sol, 10, v, 1)),
+    "propagate-t_end": ("t_end", lambda c, v: propagate(c.ens, c.sol, v)),
+    "propagate-ds_max": ("ds_max", lambda c, v: propagate(c.ens, c.sol, 0.31, ds_max=v)),
+    "propagate-ens.t": ("ensemble time t", lambda c, v: propagate(_at_time(v), c.sol, 0.31)),
+    "step_ensemble-dt": ("dt", lambda c, v: step_ensemble(c.ens, c.sol, v)),
+    "step_ensemble-ens.t": ("ensemble time t",
+                            lambda c, v: step_ensemble(_at_time(v), c.sol, 0.01)),
+}
+
+
+def _refused(call, fixture, value, message):
+    """The message of the ValueError that ``call`` raises at ``value``,
+    with a numpy warning made an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{message}") as info:
+            call(fixture, value)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("value", [2.5, 1e3, math.nan, -1])
+@pytest.mark.parametrize("entry", COUNTS)
+def test_count_is_a_whole_number(fig1, entry, value):
+    name, call = COUNTS[entry]
+    message = _refused(call, fig1, value, f"need a whole number {name} >= ")
+    assert message.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", TIMES)
+def test_time_is_finite_and_positive(fig1, entry, value):
+    name, call = TIMES[entry]
+    message = _refused(call, fig1, value, f"need a finite {name} > 0")
+    assert message.endswith(f", got {value!r}")
+
+
+def test_numpy_integers_are_counts(fig1):
+    sol = fig1.sol
+    assert np.array_equal(interior_points(sol, np.int64(7)), interior_points(sol, 7))
+    assert moment(sol, np.int64(1), 0.5) == moment(sol, 1, 0.5)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", PRESETS)
+def test_evaluators_are_zero_off_the_domain(built_presets, name, x):
+    sol = built_presets[name]
+    t = PRESETS[name].times[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = {
+            "density": density(sol, x, t),
+            "current": current(sol, x, t),
+            "current_from_definition": current_from_definition(sol, x, t),
+            "D1": coefficients(sol, x, t)[0],
+            "D2": coefficients(sol, x, t)[1],
+        }
+    assert values == dict.fromkeys(values, 0.0)
+    assert current(sol, x, t) == current_from_definition(sol, x, t)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_current_off_the_domain_in_an_array(built_presets, name):
+    """Non-finite points are 0 in an array too, and the others keep their values."""
+    sol = built_presets[name]
+    t = PRESETS[name].times[0]
+    lo, hi = truncated_positions(sol, t)
+    finite = np.linspace(lo - 1.0, hi + 1.0, 41)
+    x = np.concatenate([finite, [math.inf, -math.inf, math.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        j = current(sol, x, t)
+        j_def = current_from_definition(sol, x, t)
+    assert np.array_equal(j[:-3], current(sol, finite, t))
+    assert np.all(j[-3:] == 0.0) and np.all(j_def[-3:] == 0.0)

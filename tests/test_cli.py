@@ -391,6 +391,17 @@ class TestFlagsMatchConfigKeys:
             dataclasses.replace(cfg, **{field: value})
         assert getattr(dataclasses.replace(cfg, **{field: minimum}), field) == minimum
 
+    @pytest.mark.parametrize("key, field, value", [
+        ("seed", "seed", 1.0), ("cells", "n_cells", 400.0),
+        ("bins", "n_bins", 60.5), ("paths", "n_paths", 1e3),
+    ])
+    def test_run_config_holds_a_whole_number(self, key, field, value):
+        """A fractional or float count is refused by its key, before the
+        library meets it inside numpy."""
+        cfg = load_preset_config("fig1")
+        with pytest.raises(ValueError, match=f"^'{key}' must be a whole number, got {value!r}$"):
+            dataclasses.replace(cfg, **{field: value})
+
 
 class TestEval:
     def test_csv_shape_and_determinism(self, tmp_path, capsys):
