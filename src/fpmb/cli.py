@@ -13,7 +13,6 @@ import contextlib
 import functools
 import inspect
 import math
-import numbers
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
@@ -31,6 +30,8 @@ from .solutions import (
     PRESETS,
     SimilaritySolution,
     SolutionClass,
+    _count,
+    _time_scale,
     build_solution,
     coefficients,
     current,
@@ -88,16 +89,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.class_name not in _FAMILIES:
             raise ValueError(f"class must be I, II or III, got {self.class_name!r}")
-        if not self.times or not all(0.0 < t < math.inf for t in self.times):
-            raise ValueError("times must be a non-empty list of finite positive values")
         for key, (name, _, minimum) in _KEYS.items():
-            value = getattr(self, name)
-            if minimum is None:
-                continue
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{key!r} must be a whole number, got {value!r}")
-            if value < minimum:
-                raise ValueError(f"{key!r} must be at least {minimum}, got {value!r}")
+            if minimum is not None:
+                _count(key, getattr(self, name), minimum)
         taken = {f.name for f in fields(_FAMILIES[self.class_name])}
         for name in _PARAMETERS:
             if name in taken and getattr(self, name) is None:
@@ -106,6 +100,10 @@ class RunConfig:
                 raise ValueError(f"class {self.class_name} does not take {name}")
         # an inadmissible model fails here, where a config error names its file
         check_alpha(self.alpha)
+        if not self.times:
+            raise ValueError("need at least one value in times")
+        for t in self.times:
+            _time_scale("times", t, self.alpha)
         self.params()
 
     def params(self) -> SolutionClass:
@@ -120,8 +118,8 @@ def _times(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-# config key: (RunConfig field, value parser, smallest value taken or None),
-# in field order; a flag named after a key overrides it with the same minimum
+# config key: (RunConfig field, value parser, smallest value of a count or
+# None), in field order; a flag named after a key overrides it
 _KEYS = {
     "class": ("class_name", str, None),
     "alpha": ("alpha", float, None),
@@ -141,7 +139,8 @@ _FIELD_TO_KEY = {name: key for key, (name, _, _) in _KEYS.items()}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a flat key = value config; errors carry the offending line number."""
+    """Parse a flat key = value config; a syntax error carries its line
+    number, a value that ``RunConfig`` refuses names its key."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -154,17 +153,13 @@ def parse_config(text: str) -> RunConfig:
         val = val.strip()
         if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        name, parse, minimum = _KEYS[key]
+        name, parse, _ = _KEYS[key]
         if name in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[name] = parse(val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {val!r}") from exc
-        if minimum is not None and values[name] < minimum:
-            raise ValueError(
-                f"line {lineno}: {key!r} must be at least {minimum}, got {values[name]}"
-            )
     missing = [_FIELD_TO_KEY[f.name] for f in fields(RunConfig)
                if f.default is MISSING and f.name not in values]
     if missing:
@@ -224,7 +219,7 @@ def _worst_relative(res, scale) -> float:
 
 def _current_gap(sol: SimilaritySolution, t: float) -> float:
     """Worst relative gap between the closed-form current and its definition."""
-    x = interior_points(sol, 1000) * t**sol.alpha
+    x = interior_points(sol, 1000) * _time_scale("t", t, sol.alpha)[1]
     a = np.asarray(current(sol, x, t))
     b = np.asarray(current_from_definition(sol, x, t))
     return _worst_relative(a - b, np.abs(a) + np.abs(b))
@@ -381,26 +376,35 @@ def _model_errors(args: argparse.Namespace):
         raise SystemExit(f"{source}: {type(exc).__name__}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _flag_errors(key: str):
+    """A refused flag value is an argparse error naming the flag (exit status 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        _parser().error(f"argument --{key}: {exc}")
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    if args.preset is not None and args.config is not None:
-        raise SystemExit("use either --preset or --config, not both")
     if args.preset is not None:
         cfg = load_preset_config(args.preset)
-    elif args.config is not None:
+    else:
         with _open(args.config) as fh:
             text = fh.read()
         try:
             cfg = parse_config(text)
         except ValueError as exc:
             raise SystemExit(f"{args.config}: {exc}") from None
-    else:
-        raise SystemExit("one of --preset or --config is required")
-    overrides = {_KEYS[key][0]: value for key in _FLAGS
-                 if key in _KEYS and (value := getattr(args, key, None)) is not None}
-    return replace(cfg, **overrides) if overrides else cfg
+    for key in _FLAGS:
+        if key in _KEYS and (value := getattr(args, key, None)) is not None:
+            with _flag_errors(key):
+                cfg = replace(cfg, **{_KEYS[key][0]: value})
+    return cfg
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    with _flag_errors("points"):
+        _count("points", args.points, 2)
     cfg = _load_config(args)
     with _output(cfg.out) as out:
         with _model_errors(args):
@@ -464,42 +468,21 @@ def cmd_presets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
-
-    def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if n < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
-        return n
-
-    return parse
-
-
-def _count_flag(key: str, what: str) -> dict:
-    """Options of the flag that overrides config key ``key``, with its minimum."""
-    minimum = _KEYS[key][2]
-    return dict(type=_int_at_least(minimum), help=f"{what} override (minimum {minimum})")
-
-
 # optional flags by name; each subcommand takes only the ones it reads
 _FLAGS = {
     "out": dict(help="output path (default: stdout)"),
-    "points": dict(type=_int_at_least(2), default=201,
+    "points": dict(type=int, default=201,
                    help="x samples per time, endpoints included (default 201, minimum 2)"),
-    "seed": _count_flag("seed", "RNG seed"),
-    "paths": _count_flag("paths", "Monte Carlo path count"),
-    "bins": _count_flag("bins", "histogram bin count"),
-    "cells": _count_flag("cells", "PDE grid cells"),
+    **{key: dict(type=int, help=f"{what} override (minimum {_KEYS[key][2]})")
+       for key, what in [("seed", "RNG seed"), ("paths", "Monte Carlo path count"),
+                         ("bins", "histogram bin count"), ("cells", "PDE grid cells")]},
 }
 
 
 def _add_config_args(p: argparse.ArgumentParser, *flags: str) -> None:
-    p.add_argument("--preset", choices=preset_names(), help="named preset")
-    p.add_argument("--config", help="path to a config file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=preset_names(), help="named preset")
+    source.add_argument("--config", help="path to a config file")
     for name in flags:
         p.add_argument(f"--{name}", **_FLAGS[name])
 

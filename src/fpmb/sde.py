@@ -70,6 +70,7 @@ from .solutions import (
     SimilaritySolution,
     _count,
     _positive,
+    _time_scale,
     effective_upper,
     reduced_density,
     truncated_positions,
@@ -137,7 +138,7 @@ def init_ensemble(
     """
     n_paths = _count("n_paths", n_paths, 1)
     seed = _count("seed", seed, 0)
-    t0 = _positive("t0", t0)
+    t0, t0_alpha = _time_scale("t0", t0, sol.alpha)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_tab, cdf = _cdf_table(sol)
     z = np.empty(n_paths)
@@ -148,7 +149,7 @@ def init_ensemble(
         o = np.argsort(u)
         u = u[o]
         chunk[o] = np.interp(u, cdf, z_tab)
-    z *= t0**sol.alpha
+    z *= t0_alpha
     return PathEnsemble(positions=z, t=t0, rng=rng)
 
 
@@ -328,9 +329,9 @@ def step_ensemble(ens: PathEnsemble, sol: SimilaritySolution, dt: float) -> Path
 
     The step is taken in the reduced coordinates over ds = ln((t + dt) / t).
     """
-    t = _positive("ensemble time t", ens.t)
-    dt = _positive("dt", dt)
-    return _march(ens, sol, t + dt, 1)
+    t, _ = _time_scale("ensemble time t", ens.t, sol.alpha)
+    t_end, _ = _time_scale("t_end", t + _positive("dt", dt), sol.alpha)
+    return _march(ens, sol, t_end, 1)
 
 
 def propagate(
@@ -342,8 +343,8 @@ def propagate(
     steps.  The step's flows keep every path in the domain whatever ds is,
     so ds_max bounds only the bias, which is of order ds^2.
     """
-    t = _positive("ensemble time t", ens.t)
-    t_end = _positive("t_end", t_end)
+    t, _ = _time_scale("ensemble time t", ens.t, sol.alpha)
+    t_end, _ = _time_scale("t_end", t_end, sol.alpha)
     ds_max = _positive("ds_max", ds_max)
     if t_end <= t:
         raise ValueError("t_end must exceed the ensemble time")
@@ -357,6 +358,7 @@ def _binned_densities(
     n_bins = _count("n_bins", n_bins, MIN_BINS)
     if ens.positions.size == 0:
         raise ValueError("empty ensemble")
+    _, t_alpha = _time_scale("ensemble time t", ens.t, sol.alpha)
     lo, hi = truncated_positions(sol, ens.t)
     edges = np.linspace(lo, hi, n_bins + 1)
     width = edges[1] - edges[0]
@@ -364,7 +366,6 @@ def _binned_densities(
     empirical = counts / (ens.positions.size * width)
 
     # analytic bin masses from a fine trapezoid table of the reduced density
-    t_alpha = ens.t**sol.alpha
     z_tab, cdf = _cdf_table(sol)
     cdf_at_edges = np.interp(edges / t_alpha, z_tab, cdf, left=0.0, right=1.0)
     analytic = np.diff(cdf_at_edges) / width

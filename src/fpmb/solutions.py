@@ -450,19 +450,38 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
 
 
 def _positive(name: str, value) -> float:
-    """``value`` as a float if finite and > 0; else a ValueError naming it."""
-    value = float(value)
-    if not 0.0 < value < math.inf:  # NaN fails too
-        raise ValueError(f"need a finite {name} > 0, got {value!r}")
-    return value
+    """``value`` as a float if a real (not a bool), finite and > 0; else a ValueError naming it."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        value = float(value)
+        if 0.0 < value < math.inf:  # NaN fails too
+            return value
+    raise ValueError(f"need a finite {name} > 0, got {value!r}")
 
 
 def _count(name: str, value, minimum: int) -> int:
-    """``value`` if a whole number no smaller than ``minimum``; else a
-    ValueError naming it."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    """``value`` if a whole number (not a bool) >= ``minimum``; else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"need a whole number {name} >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _time_scale(name: str, t, alpha: float) -> tuple[float, float]:
+    """``(t, t ** alpha)`` for a time t that ``_positive`` takes, with t^alpha
+    and 1 / t^alpha finite and nonzero; else a ValueError naming it."""
+    t = _positive(name, t)
+    try:
+        t_alpha = t**alpha
+    except OverflowError:
+        t_alpha = math.inf
+    if not (0.0 < t_alpha < math.inf and 1.0 / t_alpha < math.inf):
+        raise ValueError(f"need {name}^alpha in float range, got {name}={t!r}, alpha={alpha!r}")
+    return t, t_alpha
+
+
+def _reduced(x, t_alpha: float) -> np.ndarray:
+    """z = x / t^alpha, where an x too large for the quotient goes to +-inf, warning-free."""
+    with np.errstate(over="ignore"):
+        return np.asarray(x, dtype=float) / t_alpha
 
 
 def _on_domain(sol: SimilaritySolution, z, closed: bool = False):
@@ -492,9 +511,8 @@ def reduced_density(sol: SimilaritySolution, z):
 
 def density(sol: SimilaritySolution, x, t: float):
     """Density W(x, t) = t^{-alpha} y(x / t^alpha); zero outside the moving domain."""
-    t_alpha = _positive("t", t) ** sol.alpha
-    x = np.asarray(x, dtype=float)
-    return _value(np.asarray(reduced_density(sol, x / t_alpha)) / t_alpha)
+    _, t_alpha = _time_scale("t", t, sol.alpha)
+    return _value(np.asarray(reduced_density(sol, _reduced(x, t_alpha))) / t_alpha)
 
 
 def current(sol: SimilaritySolution, x, t: float, w=None):
@@ -505,12 +523,10 @@ def current(sol: SimilaritySolution, x, t: float, w=None):
     """
     t = _positive("t", t)
     x = np.asarray(x, dtype=float)
-    if w is None:
-        w = density(sol, x, t)
-    # W is 0 at x = +-inf and NaN, where x W would be NaN; every finite x
-    # stays, so that J keeps the sign of x where W is 0
-    x = np.where(np.isfinite(x), x, 0.0)
-    return _value((sol.alpha / t) * x * np.asarray(w))
+    w = np.asarray(density(sol, x, t) if w is None else w)
+    # J is a zero of the sign of x where W is 0, even where (alpha / t) x is not finite
+    x = np.where(w == 0.0, np.copysign(0.0, x), x)
+    return _value((sol.alpha / t) * x * w)
 
 
 def _physical_drift(sol: SimilaritySolution) -> tuple[float, float, float]:
@@ -527,8 +543,8 @@ def current_from_definition(sol: SimilaritySolution, x, t: float):
     consistency check, and breaks if the coefficients of either profile
     are tampered with.
     """
-    t = _positive("t", t)
-    inside, z = _on_domain(sol, np.asarray(x, dtype=float) / t**sol.alpha)
+    t, t_alpha = _time_scale("t", t, sol.alpha)
+    inside, z = _on_domain(sol, _reduced(x, t_alpha))
     y = sol.norm_A * np.exp(_log_y(sol, z))
     y_prime = f(sol, z) * y
     rho1 = _quadratic(_physical_drift(sol), z)
@@ -548,8 +564,8 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     the rounding of rho2 next to an endpoint, and exactly 0 at the
     endpoints, where the profile vanishes.
     """
-    t = _positive("t", t)
-    z = np.asarray(x, dtype=float) / t**sol.alpha
+    t, t_alpha = _time_scale("t", t, sol.alpha)
+    z = _reduced(x, t_alpha)
     closed, z_safe = _on_domain(sol, z, closed=True)
     interior, _ = _on_domain(sol, z)
     rho1 = _quadratic(_physical_drift(sol), z_safe)
@@ -561,21 +577,20 @@ def coefficients(sol: SimilaritySolution, x, t: float):
 
 def boundary_positions(sol: SimilaritySolution, t: float) -> tuple[float, float]:
     """Instantaneous domain endpoints (z_lo t^alpha, z_hi t^alpha)."""
-    t_alpha = _positive("t", t) ** sol.alpha
-    hi = sol.z_hi
-    return sol.z_lo * t_alpha, math.inf if math.isinf(hi) else hi * t_alpha
+    _, t_alpha = _time_scale("t", t, sol.alpha)
+    return sol.z_lo * t_alpha, math.inf if math.isinf(sol.z_hi) else sol.z_hi * t_alpha
 
 
 def truncated_positions(sol: SimilaritySolution, t: float) -> tuple[float, float]:
     """Domain endpoints at t, a half line cut at ``effective_upper``."""
-    t_alpha = _positive("t", t) ** sol.alpha
+    _, t_alpha = _time_scale("t", t, sol.alpha)
     return sol.z_lo * t_alpha, effective_upper(sol) * t_alpha
 
 
 def moment(sol: SimilaritySolution, k: int, t: float) -> float:
     """k-th moment of W(., t): equals t^{k alpha} times the reduced moment."""
     k = _count("k", k, 0)
-    t = _positive("t", t)
+    t, _ = _time_scale("t", t, sol.alpha)
     res = _reduced_mass(sol, weight_power=k)
     if not res.converged:
         raise RuntimeError(f"moment quadrature failed: error {res.abs_error_estimate:.3e}")
@@ -591,12 +606,12 @@ def mass(sol: SimilaritySolution, t: float) -> float:
     normalization quadrature (``_domain_quadrature``), mapped to x by
     t^alpha; a half line is integrated to infinity.
     """
-    t = _positive("t", t)
+    t, t_alpha = _time_scale("t", t, sol.alpha)
 
     def w_of_x(x):
         return density(sol, x, t)
 
-    res = _domain_quadrature(sol, w_of_x, t**sol.alpha, 0, _MASS_RTOL)
+    res = _domain_quadrature(sol, w_of_x, t_alpha, 0, _MASS_RTOL)
     if not res.converged:
         raise RuntimeError(f"mass quadrature failed: error {res.abs_error_estimate:.3e}")
     return res.value

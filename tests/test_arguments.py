@@ -1,6 +1,7 @@
 """Every entry point refuses a bad count or time with a ValueError that names
-the argument, before numpy meets the value; the evaluators are 0 off the
-domain, at x = +-inf and NaN included."""
+the argument, before numpy meets the value, and a time whose t^alpha is out
+of float range; the evaluators are 0 off the domain, at x = +-inf, NaN and
+a finite x too large for x / t^alpha included."""
 
 import math
 import warnings
@@ -39,12 +40,22 @@ from fpmb.sde import (
 from fpmb.solutions import truncated_positions
 
 
+def _preset(built_presets, name):
+    """A preset with a valid ensemble and operator to pass the bad values to."""
+    sol = built_presets[name]
+    return SimpleNamespace(sol=sol, ens=init_ensemble(sol, 100, PRESETS[name].times[0], seed=1),
+                           op=transformed_operator(sol, 16))
+
+
 @pytest.fixture(scope="module")
 def fig1(built_presets):
-    """fig1 with a valid ensemble and operator to pass the bad values to."""
-    sol = built_presets["fig1"]
-    return SimpleNamespace(sol=sol, ens=init_ensemble(sol, 100, 0.3, seed=1),
-                           op=transformed_operator(sol, 16))
+    return _preset(built_presets, "fig1")
+
+
+@pytest.fixture(scope="module", params=["fig1", "fig2"])
+def fig1_or_fig2(built_presets, request):
+    """fig1 (alpha 2) and fig2 (alpha -2)."""
+    return _preset(built_presets, request.param)
 
 
 def _at_time(t):
@@ -86,6 +97,19 @@ TIMES = {
     "step_ensemble-dt": ("dt", lambda c, v: step_ensemble(c.ens, c.sol, v)),
     "step_ensemble-ens.t": ("ensemble time t",
                             lambda c, v: step_ensemble(_at_time(v), c.sol, 0.01)),
+    "histogram_distance-ens.t": ("ensemble time t",
+                                 lambda c, v: histogram_distance(_at_time(v), c.sol, 10)),
+}
+
+# entry point whose time meets alpha: (the time's name, call of (a preset, time))
+SCALED_TIMES = {
+    **{entry: TIMES[entry] for entry in (
+        "density", "current", "current_from_definition", "coefficients", "mass", "moment",
+        "boundary_positions", "truncated_positions", "init_ensemble", "propagate-t_end",
+        "propagate-ens.t", "step_ensemble-ens.t", "histogram_distance-ens.t")},
+    "step_ensemble-dt": ("t_end", TIMES["step_ensemble-dt"][1]),
+    "fpe_residual_at-t": ("t", lambda c, v: fpe_residual_at(c.sol, 2.0, v, 0.01, 0.01)),
+    "probe_window-t": ("t", lambda c, v: probe_window(c.sol, v, 0.01, 0.01)),
 }
 
 
@@ -99,7 +123,7 @@ def _refused(call, fixture, value, message):
     return str(info.value)
 
 
-@pytest.mark.parametrize("value", [2.5, 1e3, math.nan, -1])
+@pytest.mark.parametrize("value", [2.5, 1e3, math.nan, -1, "3", True])
 @pytest.mark.parametrize("entry", COUNTS)
 def test_count_is_a_whole_number(fig1, entry, value):
     name, call = COUNTS[entry]
@@ -107,12 +131,21 @@ def test_count_is_a_whole_number(fig1, entry, value):
     assert message.endswith(f", got {value!r}")
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, "0.5", "abc", True])
 @pytest.mark.parametrize("entry", TIMES)
 def test_time_is_finite_and_positive(fig1, entry, value):
     name, call = TIMES[entry]
     message = _refused(call, fig1, value, f"need a finite {name} > 0")
     assert message.endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("entry", SCALED_TIMES)
+def test_time_with_t_alpha_out_of_range(fig1_or_fig2, entry):
+    """t = 1e200 overflows t^2 and underflows t^-2 to 0."""
+    name, call = SCALED_TIMES[entry]
+    alpha = fig1_or_fig2.sol.alpha
+    message = _refused(call, fig1_or_fig2, 1e200, f"need {name}\\^alpha in float range")
+    assert message.endswith(f", got {name}=1e+200, alpha={alpha!r}")
 
 
 def test_numpy_integers_are_counts(fig1):
@@ -121,7 +154,7 @@ def test_numpy_integers_are_counts(fig1):
     assert moment(sol, np.int64(1), 0.5) == moment(sol, 1, 0.5)
 
 
-@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308, -1e308])
 @pytest.mark.parametrize("name", PRESETS)
 def test_evaluators_are_zero_off_the_domain(built_presets, name, x):
     sol = built_presets[name]

@@ -28,7 +28,7 @@ from fpmb.cli import (
     preset_names,
     run_checks,
 )
-from fpmb.solutions import _physical_drift, interior_points, truncated_positions
+from fpmb.solutions import _count, _physical_drift, interior_points, truncated_positions
 
 
 class TestConfig:
@@ -88,7 +88,9 @@ class TestConfig:
         ("cells", "n_cells", 3), ("paths", "n_paths", 1), ("bins", "n_bins", 10),
     ])
     def test_count_below_minimum_reports_line_and_key(self, key, field, minimum):
-        with pytest.raises(ValueError, match=f"line 1: '{key}' must be at least {minimum}"):
+        """A count below its minimum is a value error: it names the key, not a line."""
+        message = f"need a whole number {key} >= {minimum}, got {minimum - 1}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             parse_config(f"{key} = {minimum - 1}\n{self._FIG1_TEXT}")
         cfg = parse_config(f"{key} = {minimum}\n{self._FIG1_TEXT}")
         assert getattr(cfg, field) == minimum
@@ -98,7 +100,7 @@ class TestConfig:
         path.write_text(self._FIG1_TEXT + "cells = 2\n")
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--config", str(path)])
-        assert exc.value.code == f"{path}: line 8: 'cells' must be at least 3, got 2"
+        assert exc.value.code == f"{path}: need a whole number cells >= 3, got 2"
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("edit, message", [
@@ -175,8 +177,8 @@ class TestBadValues:
 
     def test_negative_seed_in_config(self, tmp_path, capsys):
         text = _with(_FIG1_TEXT, seed="-5")
-        message = "line 8: 'seed' must be at least 0, got -5"
-        with pytest.raises(ValueError, match=message):
+        message = "need a whole number seed >= 0, got -5"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             parse_config(text)
         assert _config_exit(tmp_path, text, "--with-sde") == message
         assert capsys.readouterr().out == ""
@@ -184,10 +186,33 @@ class TestBadValues:
     @pytest.mark.parametrize("times", ["0.3, nan", "0.3, inf", "nan"])
     def test_non_finite_times(self, times, tmp_path, capsys):
         text = _with(_FIG1_TEXT, times=times)
-        with pytest.raises(ValueError, match="times must be a non-empty list of finite positive"):
+        message = f"need a finite times > 0, got {times.split(', ')[-1]}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             parse_config(text)
-        assert _config_exit(tmp_path, text).startswith("times must be")
+        assert _config_exit(tmp_path, text) == message
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "verify", "sample"])
+    @pytest.mark.parametrize("text, alpha", [
+        pytest.param(_FIG1_TEXT, 2.0, id="fig1"),
+        pytest.param(_with(_FIG1_TEXT, alpha="-2.0"), -2.0, id="alpha-2"),
+    ])
+    def test_time_out_of_float_range(self, command, text, alpha, tmp_path, capsys):
+        """A time whose t^alpha overflows or underflows is refused by RunConfig,
+        naming times, before any command meets it as an OverflowError."""
+        path = tmp_path / "huge.cfg"
+        path.write_text(_with(text, times="0.3, 1e200"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(path)])
+        assert exc.value.code == (f"{path}: need times^alpha in float range, "
+                                  f"got times=1e+200, alpha={alpha!r}")
+        assert capsys.readouterr().out == ""
+
+    def test_no_time(self):
+        with pytest.raises(ValueError, match="^need at least one value in times$"):
+            dataclasses.replace(load_preset_config("fig1"), times=())
 
     @pytest.mark.parametrize("key", _TOL_KEYS)
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e-8", "0.0"])
@@ -295,6 +320,21 @@ class TestBadArguments:
         with pytest.raises(KeyError, match="unknown preset 'fig9'"):
             load_preset_config("fig9")
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--preset", "fig1", "--config", "x.cfg"],
+                     "argument --config: not allowed with argument --preset", id="both"),
+        pytest.param([], "one of the arguments --preset --config is required", id="neither"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "verify", "sample"])
+    def test_preset_or_config_is_an_argparse_error(self, command, argv, message, capsys):
+        """Exactly one of --preset and --config is given, or argparse exits 2."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["verify", "--config", "{missing}.cfg"], id="config"),
         pytest.param(["eval", "--preset", "fig1", "--out", "{missing}/x.csv"], id="eval-out"),
@@ -358,49 +398,73 @@ class TestFixedBounds:
             }
 
 
-class TestFlagsMatchConfigKeys:
-    """A count flag and its config key refuse the same values: one below the
-    minimum is refused by both, the minimum itself is taken by both."""
+# count setting, its RunConfig field (None for --points, which no config
+# holds), its minimum, a value below it and a value that is not a whole number
+_COUNTS = [
+    ("seed", "seed", 0, -1, 1.0),
+    ("paths", "n_paths", 1, 0, 1e3),
+    ("bins", "n_bins", 10, 5, 60.5),
+    ("cells", "n_cells", 3, 2, 400.0),
+    ("points", None, 2, 1, 2.5),
+]
 
-    @pytest.mark.parametrize("key, field, minimum", [
-        ("seed", "seed", 0), ("paths", "n_paths", 1), ("bins", "n_bins", 10), ("cells", "n_cells", 3),
-    ])
-    def test_same_minimum(self, key, field, minimum, capsys):
-        with pytest.raises(ValueError, match=f"line 1: '{key}' must be at least {minimum}"):
-            parse_config(f"{key} = {minimum - 1}\n{_FIG1_TEXT}")
+
+class TestFlagsMatchConfigKeys:
+    """Each count has one rule, ``solutions._count``'s: a config line, a flag,
+    ``dataclasses.replace`` and the library refuse the same values with the
+    same text, and take the minimum itself."""
+
+    @staticmethod
+    def _flag_error(key: str, value, capsys) -> str:
+        """The stderr of a run that the flag ``--key value`` ends with exit 2."""
+        command = "eval" if key == "points" else "verify"
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--preset", "fig1", f"--{key}", str(minimum - 1)])
+            main([command, "--preset", "fig1", f"--{key}", str(value)])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert f"--{key}" in captured.err
         assert captured.out == ""
+        assert f"--{key}" in captured.err
+        return captured.err
 
-        assert getattr(parse_config(f"{key} = {minimum}\n{_FIG1_TEXT}"), field) == minimum
-        args = _parser().parse_args(["verify", "--preset", "fig1", f"--{key}", str(minimum)])
-        assert getattr(_load_config(args), field) == minimum
+    @pytest.mark.parametrize("key, field, minimum", [row[:3] for row in _COUNTS])
+    def test_same_minimum(self, key, field, minimum, tmp_path, capsys):
+        message = f"need a whole number {key} >= {minimum}, got {minimum - 1}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _count(key, minimum - 1, minimum)
+        assert f"argument --{key}: {message}\n" in self._flag_error(key, minimum - 1, capsys)
+        if field is not None:
+            assert _config_exit(tmp_path, f"{key} = {minimum - 1}\n{_FIG1_TEXT}") == message
+            assert getattr(parse_config(f"{key} = {minimum}\n{_FIG1_TEXT}"), field) == minimum
+            argv = ["verify", "--preset", "fig1", f"--{key}", str(minimum)]
+            assert getattr(_load_config(_parser().parse_args(argv)), field) == minimum
 
     @pytest.mark.parametrize("key, field, value, minimum", [
-        ("seed", "seed", -1, 0), ("cells", "n_cells", 2, 3),
-        ("bins", "n_bins", 5, 10), ("paths", "n_paths", 0, 1),
+        (key, field, below, minimum) for key, field, minimum, below, _ in _COUNTS if field
     ])
     def test_run_config_holds_the_minimum(self, key, field, value, minimum):
         """A config built in code is held to the same minimum, naming the key,
         before numpy or the grid can meet the value."""
         cfg = load_preset_config("fig1")
-        with pytest.raises(ValueError, match=f"^'{key}' must be at least {minimum}, got {value}$"):
+        message = f"need a whole number {key} >= {minimum}, got {value}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             dataclasses.replace(cfg, **{field: value})
         assert getattr(dataclasses.replace(cfg, **{field: minimum}), field) == minimum
 
     @pytest.mark.parametrize("key, field, value", [
-        ("seed", "seed", 1.0), ("cells", "n_cells", 400.0),
-        ("bins", "n_bins", 60.5), ("paths", "n_paths", 1e3),
+        (key, field, value) for key, field, _, _, value in _COUNTS
     ])
-    def test_run_config_holds_a_whole_number(self, key, field, value):
-        """A fractional or float count is refused by its key, before the
-        library meets it inside numpy."""
-        cfg = load_preset_config("fig1")
-        with pytest.raises(ValueError, match=f"^'{key}' must be a whole number, got {value!r}$"):
-            dataclasses.replace(cfg, **{field: value})
+    def test_run_config_holds_a_whole_number(self, key, field, value, capsys):
+        """A fractional, float or bool count is refused by its key, before the
+        library meets it inside numpy; a flag takes integer text only."""
+        minimum = next(row[2] for row in _COUNTS if row[0] == key)
+        for bad in (value, True):
+            message = f"^need a whole number {key} >= {minimum}, got {bad!r}$"
+            with pytest.raises(ValueError, match=message):
+                _count(key, bad, minimum)
+            if field is not None:
+                with pytest.raises(ValueError, match=message):
+                    dataclasses.replace(load_preset_config("fig1"), **{field: bad})
+        assert "invalid int value" in self._flag_error(key, value, capsys)
 
 
 class TestEval:
