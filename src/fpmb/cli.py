@@ -31,6 +31,7 @@ from .solutions import (
     SimilaritySolution,
     SolutionClass,
     _count,
+    _coefficient_scales,
     _time_scale,
     build_solution,
     coefficients,
@@ -103,7 +104,8 @@ class RunConfig:
         if not self.times:
             raise ValueError("need at least one value in times")
         for t in self.times:
-            _time_scale("times", t, self.alpha)
+            t, _ = _time_scale("times", t, self.alpha)
+            _coefficient_scales("times", t, self.alpha)  # the powers of t in D1 and D2
         self.params()
 
     def params(self) -> SolutionClass:

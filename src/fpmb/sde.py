@@ -43,18 +43,23 @@ end, which absorbs rounding, and mapped back as z t^alpha, the product
 its time.
 
 The ensemble is cut into ceil(n / ``CHUNK_PATHS``) chunks whose sizes
-differ by one path at most.  Each chunk gets its own generator from
-``ens.rng.spawn``, is mapped into the output, advanced over the whole grid
-and mapped back while it stays in cache.  The path state w = z - m is
+differ by one path at most, and each chunk gets its own random stream, a
+generator from ``ens.rng.spawn``.  Streams are not work units: a unit
+steps one or two consecutive chunks as one array, each chunk's bits drawn
+from its own stream into its slice, so that every numpy call moves up to
+two chunks.  A unit is mapped into the output, advanced over the whole
+grid and mapped back while it stays in cache.  The path state w = z - m is
 stepped in ``PATH_DTYPE``, float32.  Its rounding, about 1e-7 of the
 domain's width per step, lies far below the Monte Carlo noise of any
 ensemble that fits in memory, and it takes half the bytes of float64, so
 each numpy call moves twice the paths for the same cache.  The maps'
 coefficients are formed in float64, and the positions are read and
-written in float64, where the clamp and the map back to x act.  Chunks run
+written in float64, where the clamp and the map back to x act.  Units run
 on a thread pool as large as the CPUs the process may use (numpy releases
-the GIL in the generator and the ufuncs).  Results depend on the seed and
-the number of paths, never on the number of threads.
+the GIL in the generator and the ufuncs), and so do the parts of
+``init_ensemble``'s inverse-CDF lookup, after one draw of all the uniforms
+in the generator's order.  Results depend on the seed, the number of
+paths and ``CHUNK_PATHS`` only, never on the number of threads.
 """
 
 from __future__ import annotations
@@ -88,8 +93,9 @@ __all__ = [
 # most paths in one chunk: 256 kB of float32 path state
 CHUNK_PATHS = 2**16
 PATH_DTYPE = np.float32
-# uniforms that init_ensemble draws and maps at a time, as many bytes in
-# float64
+# init_ensemble maps DRAW_PATHS / 2 uniforms at a time over all its
+# threads, with 26 bytes of scratch each, which leaves room for numpy's
+# own buffers per part
 DRAW_PATHS = 2**15
 DS_MAX = 0.0075
 MIN_BINS = 10  # fewest bins of a histogram
@@ -130,11 +136,12 @@ def init_ensemble(
 ) -> PathEnsemble:
     """Ensemble drawn from the analytic density at t0 by inverse-CDF sampling.
 
-    The uniforms are drawn and mapped ``DRAW_PATHS`` at a time, so memory
-    peaks at one ensemble plus a few chunks.  The generator hands out its
-    stream in order, and each uniform maps to its position whatever the
-    order it is looked up in, so the positions are those of one full-size
-    draw, to the bit.
+    The uniforms are drawn in one call, in the generator's order, into the
+    positions array, and mapped in place in parts on the pool, so memory
+    peaks at one ensemble plus the scratch of ``DRAW_PATHS`` / 2 paths.
+    Each uniform maps to its position whatever the part or the order it is
+    looked up in, so the positions are those of one full-size draw, to the
+    bit.
     """
     n_paths = _count("n_paths", n_paths, 1)
     seed = _count("seed", seed, 0)
@@ -142,14 +149,21 @@ def init_ensemble(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     z_tab, cdf = _cdf_table(sol)
     z = np.empty(n_paths)
-    for start in range(0, n_paths, DRAW_PATHS):
-        chunk = z[start : start + DRAW_PATHS]
-        u = rng.uniform(size=chunk.size)
-        # sorted queries let np.interp start each search at the last knot
-        o = np.argsort(u)
-        u = u[o]
-        chunk[o] = np.interp(u, cdf, z_tab)
-    z *= t0_alpha
+    rng.random(out=z)
+    size = max(DRAW_PATHS // (2 * _worker_count()), 1)
+
+    def run(i: int) -> None:
+        part = z[i * size : (i + 1) * size]
+        # queries ordered by their first 16 bits (a radix sort) let np.interp
+        # start each search at the last knot; u < 1, so the key fits
+        key = np.empty(part.size, np.uint16)
+        np.multiply(part, 65536.0, out=key, casting="unsafe")
+        o = np.argsort(key, kind="stable")
+        mapped = np.interp(part[o], cdf, z_tab)
+        mapped *= t0_alpha
+        part[o] = mapped
+
+    _on_pool(run, -(-n_paths // size))
     return PathEnsemble(positions=z, t=t0, rng=rng)
 
 
@@ -159,6 +173,31 @@ def _worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
+
+
+def _on_pool(run, n: int) -> None:
+    """run(0), ..., run(n - 1) on up to ``_worker_count()`` threads, each
+    taking the next index as it finishes one.
+
+    np.errstate does not reach pool threads by itself: every call runs under
+    the caller's settings, inline or threaded.
+    """
+    errors = np.geterr()
+    todo = iter(range(n))  # next() holds the GIL: each index is taken once
+
+    def work(_: int = 0) -> None:
+        with np.errstate(**errors):
+            for i in todo:
+                run(i)
+
+    workers = min(_worker_count(), n)
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
+    else:
+        work()
 
 
 _Moebius = tuple[float, float, float, float]
@@ -196,35 +235,36 @@ def _moebius(p: _Moebius, x: np.ndarray, out: np.ndarray, den: np.ndarray) -> No
 
 def _advance(
     z: np.ndarray,
-    rng: np.random.Generator,
+    streams: list[tuple[np.random.Generator, int]],
     maps: list[_Moebius],
     m: float,
     kappa: float,
     r2: float,
     rotation: tuple[tuple[float, float], tuple[float, float]],
 ) -> None:
-    """Step one chunk of reduced positions ``z`` in place by the split step.
+    """Step reduced positions ``z`` in place by the split step.
 
-    The path state is w = z - m in ``PATH_DTYPE``; ``z`` stays float64, is
-    read at the start and written at the end, and holds a scratch buffer
-    in between.  ``maps[0]`` is the first half drift step.  Each later map
-    follows one flow of V1: the next two half drift steps merged, or, for
-    the last, the final half step.  The flow of V1 is
+    ``z`` holds consecutive chunks, one per ``(generator, paths)`` pair of
+    ``streams``.  The path state is w = z - m in ``PATH_DTYPE``; ``z``
+    stays float64, is read at the start and written at the end, and holds
+    both scratch buffers in between.  ``maps[0]`` is the first half drift
+    step.  Each later map follows one flow of V1: the next two half drift
+    steps merged, or, for the last, the final half step.  The flow of V1 is
     w C + sqrt(rho2 / |kappa|) S, with rho2 = kappa (w^2 - r2), where C and
     S are the cos and sin (cosh and sinh for kappa > 0) of
     xi sqrt(2 |kappa| ds); ``rotation`` holds (C large, C small) and
     (S large, S small), for |xi| large and small, with S for xi > 0.  Path
-    k's xi comes from byte k of ``rng``'s raw stream, little-endian,
-    ceil(n / 8) words per step for n paths: bit 0 set makes xi positive,
-    and bits 1 and 2 both set make |xi| large.
+    k of a chunk takes its xi from byte k of its generator's raw stream,
+    little-endian, ceil(paths / 8) words per step: bit 0 set makes xi
+    positive, and bits 1 and 2 both set make |xi| large.
     """
     n = z.size
     w = np.empty(n, PATH_DTYPE)
-    amp = np.empty_like(w)
-    coef = z.view(PATH_DTYPE)[:n]
-    large = np.empty(n, dtype=bool)
-    low = np.empty(n, dtype=np.uint8)
-    n_words = -(-n // 8)
+    scratch = z.view(PATH_DTYPE)
+    coef = scratch[:n]
+    amp = scratch[n : 2 * n] if scratch.size >= 2 * n else np.empty_like(w)
+    bits = np.empty(n, np.uint8)
+    large = bits.view(bool)  # the |xi|-large flags, written over the bytes
     # rho2 / |kappa| is (R - w)(R + w), or (w - R)(w + R) for kappa > 0, so
     # that the factor that vanishes at an endpoint keeps its digits.  With
     # r2 < 0 rho2 has no real root: for kappa > 0 it is w^2 + gap, for
@@ -240,10 +280,11 @@ def _advance(
     np.subtract(z, m, out=w)
     _moebius(maps[0], w, w, coef)
     for p in maps[1:]:
-        raw = rng.bit_generator.random_raw(n_words).astype("<u8", copy=False)
-        bits = raw.view(np.uint8)[:n]
-        np.bitwise_and(bits, 6, out=low)
-        np.equal(low, 6, out=large)
+        start = 0
+        for rng, size in streams:
+            raw = rng.bit_generator.random_raw(-(-size // 8)).astype("<u8", copy=False)
+            bits[start : start + size] = raw.view(np.uint8)[:size]
+            start += size
         # amp = sqrt(rho2 / |kappa|) S
         if kappa < 0.0:
             np.subtract(root, w, out=amp)
@@ -255,9 +296,11 @@ def _advance(
             amp += gap
         np.maximum(amp, 0.0, out=amp)
         np.sqrt(amp, out=amp)
-        np.bitwise_and(bits, 1, out=low)
-        np.subtract(low, f(0.5), out=coef)
+        np.bitwise_and(bits, 1, out=coef)
+        coef -= f(0.5)
         amp *= coef
+        np.bitwise_and(bits, 6, out=bits)
+        np.equal(bits, 6, out=large)
         np.multiply(large, s_step, out=coef)
         coef += s_small
         amp *= coef
@@ -296,31 +339,24 @@ def _march(ens: PathEnsemble, sol: SimilaritySolution, t_end: float, k: int) -> 
     # chunk sizes differ by one path at most, and depend on x.size alone
     starts = [x.size * i // n_chunks for i in range(n_chunks)] + [x.size]
     rngs = ens.rng.spawn(n_chunks)
-    # np.errstate does not reach pool threads: each chunk runs under the
-    # caller's settings
-    errors = np.geterr()
+    # a work unit steps one or two consecutive chunks, two where that
+    # leaves no worker idle
+    n_units = min(n_chunks, max(-(-n_chunks // 2), _worker_count()))
 
-    def run(i: int) -> None:
-        part = slice(starts[i], starts[i + 1])
+    def run(u: int) -> None:
+        chunks = range(n_chunks * u // n_units, n_chunks * (u + 1) // n_units)
+        part = slice(starts[chunks[0]], starts[chunks[-1] + 1])
         z = out[part]
-        with np.errstate(**errors):
-            np.multiply(x[part], scale_in, out=z)
-            _advance(z, rngs[i], maps, m, kappa, r2, rotation)
-            # rounding can leave a path an ulp outside; NaN only from the input
-            np.clip(z, z_lo, z_hi, out=z)
-            if math.isnan(z.min()):
-                raise RuntimeError("a path position became NaN")
-            z *= scale_out
+        np.multiply(x[part], scale_in, out=z)
+        streams = [(rngs[i], starts[i + 1] - starts[i]) for i in chunks]
+        _advance(z, streams, maps, m, kappa, r2, rotation)
+        # rounding can leave a path an ulp outside; NaN only from the input
+        np.clip(z, z_lo, z_hi, out=z)
+        if math.isnan(z.min()):
+            raise RuntimeError("a path position became NaN")
+        z *= scale_out
 
-    workers = min(_worker_count(), n_chunks)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(n_chunks)))
-    else:
-        for i in range(n_chunks):
-            run(i)
+    _on_pool(run, n_units)
     return replace(ens, positions=out, t=t_end)
 
 

@@ -465,17 +465,29 @@ def _count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _time_power(name: str, t: float, alpha: float, p: float, power: str = "alpha") -> float:
+    """t ** p, which the message writes t^``power``, if it and its reciprocal
+    are finite and nonzero; else a ValueError naming t."""
+    try:
+        value = t**p
+    except OverflowError:
+        value = math.inf
+    if not (0.0 < value < math.inf and 1.0 / value < math.inf):
+        raise ValueError(f"need {name}^{power} in float range, got {name}={t!r}, alpha={alpha!r}")
+    return value
+
+
 def _time_scale(name: str, t, alpha: float) -> tuple[float, float]:
     """``(t, t ** alpha)`` for a time t that ``_positive`` takes, with t^alpha
     and 1 / t^alpha finite and nonzero; else a ValueError naming it."""
     t = _positive(name, t)
-    try:
-        t_alpha = t**alpha
-    except OverflowError:
-        t_alpha = math.inf
-    if not (0.0 < t_alpha < math.inf and 1.0 / t_alpha < math.inf):
-        raise ValueError(f"need {name}^alpha in float range, got {name}={t!r}, alpha={alpha!r}")
-    return t, t_alpha
+    return t, _time_power(name, t, alpha, alpha)
+
+
+def _coefficient_scales(name: str, t: float, alpha: float) -> tuple[float, float]:
+    """The time factors t^(alpha - 1) of D1 and t^(2 alpha - 1) of D2."""
+    return (_time_power(name, t, alpha, alpha - 1.0, "(alpha - 1)"),
+            _time_power(name, t, alpha, 2.0 * alpha - 1.0, "(2 alpha - 1)"))
 
 
 def _reduced(x, t_alpha: float) -> np.ndarray:
@@ -565,13 +577,14 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     endpoints, where the profile vanishes.
     """
     t, t_alpha = _time_scale("t", t, sol.alpha)
+    t_d1, t_d2 = _coefficient_scales("t", t, sol.alpha)
     z = _reduced(x, t_alpha)
     closed, z_safe = _on_domain(sol, z, closed=True)
     interior, _ = _on_domain(sol, z)
     rho1 = _quadratic(_physical_drift(sol), z_safe)
-    d1 = np.where(closed, t ** (sol.alpha - 1.0) * rho1, 0.0)
+    d1 = np.where(closed, t_d1 * rho1, 0.0)
     rho2_z = np.maximum(rho2(sol, z_safe), 0.0)
-    d2 = np.where(interior, t ** (2.0 * sol.alpha - 1.0) * rho2_z, 0.0)
+    d2 = np.where(interior, t_d2 * rho2_z, 0.0)
     return _value(d1), _value(d2)
 
 
@@ -594,7 +607,7 @@ def moment(sol: SimilaritySolution, k: int, t: float) -> float:
     res = _reduced_mass(sol, weight_power=k)
     if not res.converged:
         raise RuntimeError(f"moment quadrature failed: error {res.abs_error_estimate:.3e}")
-    return t ** (k * sol.alpha) * sol.norm_A * res.value
+    return _time_power("t", t, sol.alpha, k * sol.alpha, f"({k} alpha)") * sol.norm_A * res.value
 
 
 def mass(sol: SimilaritySolution, t: float) -> float:

@@ -3,7 +3,9 @@ the argument, before numpy meets the value, and a time whose t^alpha is out
 of float range; the evaluators are 0 off the domain, at x = +-inf, NaN and
 a finite x too large for x / t^alpha included."""
 
+import dataclasses
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -13,6 +15,7 @@ import pytest
 from fpmb import (
     PRESETS,
     boundary_positions,
+    build_solution,
     coefficients,
     current,
     current_from_definition,
@@ -21,6 +24,7 @@ from fpmb import (
     mass,
     moment,
 )
+from fpmb.cli import load_preset_config
 from fpmb.pde import (
     evolve,
     fpe_residual_at,
@@ -146,6 +150,41 @@ def test_time_with_t_alpha_out_of_range(fig1_or_fig2, entry):
     alpha = fig1_or_fig2.sol.alpha
     message = _refused(call, fig1_or_fig2, 1e200, f"need {name}\\^alpha in float range")
     assert message.endswith(f", got {name}=1e+200, alpha={alpha!r}")
+
+
+def _alpha_004(built_presets):
+    """fig1's model at alpha = 0.04, whose t^(alpha - 1) alone overflows at t = 5e-324."""
+    return build_solution(0.04, built_presets["fig1"].class_params)
+
+
+# a larger power of t out of float range where t^alpha is in it:
+# (model, call of (solution, time), time, the power as the message writes it)
+POWERS = {
+    "coefficients-D2-fig1": (lambda b: b["fig1"], lambda sol, t: coefficients(sol, 2.0, t),
+                             1e150, "(2 alpha - 1)"),
+    "coefficients-D2-fig2": (lambda b: b["fig2"], lambda sol, t: coefficients(sol, 2.0, t),
+                             1e100, "(2 alpha - 1)"),
+    "coefficients-D1": (_alpha_004, lambda sol, t: coefficients(sol, 0.0, t),
+                        5e-324, "(alpha - 1)"),
+    "moment-fig1": (lambda b: b["fig1"], lambda sol, t: moment(sol, 3, t), 1e100, "(3 alpha)"),
+    "moment-fig2": (lambda b: b["fig2"], lambda sol, t: moment(sol, 3, t), 1e100, "(3 alpha)"),
+    "RunConfig-fig1": (lambda b: b["fig1"], lambda sol, t: dataclasses.replace(
+        load_preset_config("fig1"), times=(0.3, t)), 1e150, "(2 alpha - 1)"),
+    "RunConfig-fig2": (lambda b: b["fig2"], lambda sol, t: dataclasses.replace(
+        load_preset_config("fig2"), times=(0.3, t)), 1e100, "(2 alpha - 1)"),
+}
+
+
+@pytest.mark.parametrize("entry", POWERS)
+def test_larger_power_of_t_out_of_range(built_presets, entry):
+    """Each power of t is gated where it is formed: D1's t^(alpha - 1), D2's
+    t^(2 alpha - 1) and the moment's t^(k alpha), and RunConfig refuses
+    the times whose D1 or D2 factor is out of float range."""
+    model, call, t, power = POWERS[entry]
+    sol = model(built_presets)
+    name = "times" if entry.startswith("RunConfig") else "t"
+    message = _refused(call, sol, t, f"need {name}\\^{re.escape(power)} in float range")
+    assert message.endswith(f", got {name}={t!r}, alpha={sol.alpha!r}")
 
 
 def test_numpy_integers_are_counts(fig1):

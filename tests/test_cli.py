@@ -210,6 +210,20 @@ class TestBadValues:
                                   f"got times=1e+200, alpha={alpha!r}")
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["eval", "verify", "sample"])
+    def test_time_with_d2_factor_out_of_float_range(self, command, tmp_path, capsys):
+        """t = 1e150 keeps fig1's t^2 in float range but not D2's t^3:
+        RunConfig refuses it, naming times, before eval meets it."""
+        path = tmp_path / "huge.cfg"
+        path.write_text(_with(_FIG1_TEXT, times="0.3, 1e150"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(path)])
+        assert exc.value.code == (f"{path}: need times^(2 alpha - 1) in float range, "
+                                  "got times=1e+150, alpha=2.0")
+        assert capsys.readouterr().out == ""
+
     def test_no_time(self):
         with pytest.raises(ValueError, match="^need at least one value in times$"):
             dataclasses.replace(load_preset_config("fig1"), times=())

@@ -78,6 +78,21 @@ class TestInitChunks:
             # the ensemble's generator continues from the same stream state
             assert ens.rng.bit_generator.state == rng.bit_generator.state
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_parts_on_the_pool_match_one_full_draw(self, built_presets, monkeypatch, workers):
+        """The draw is mapped in parts on the pool: at any worker count, and
+        on both sides of a part boundary, the positions and the stream state
+        are those of one full-size draw."""
+        monkeypatch.setattr(sde, "_worker_count", lambda: workers)
+        sol, t0 = built_presets["fig1"], PRESETS["fig1"].times[0]
+        z_tab, cdf = sde._cdf_table(sol)
+        for n in [DRAW_PATHS // k + d for k in (8, 4, 2) for d in (-1, 0, 1)]:
+            rng = np.random.default_rng(np.random.SeedSequence(5))
+            expected = np.interp(rng.uniform(size=n), cdf, z_tab) * t0**sol.alpha
+            ens = init_ensemble(sol, n, t0, seed=5)
+            assert ens.positions.tobytes() == expected.tobytes(), n
+            assert ens.rng.bit_generator.state == rng.bit_generator.state
+
     @staticmethod
     def _traced_peak(fn):
         tracemalloc.start()
@@ -375,37 +390,78 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunks_run_under_the_callers_errstate(self, built_presets, monkeypatch, workers):
-        """np.errstate does not reach pool threads by itself: every chunk,
-        inline or threaded, sees the caller's settings."""
-        advance, seen = sde._advance, []
+        """np.errstate does not reach pool threads by itself: every work unit
+        of propagate and every part of init_ensemble's lookup, inline or
+        threaded, sees the caller's settings."""
+        advance, interp, seen = sde._advance, np.interp, {"units": [], "parts": []}
 
-        def recording(*args):
-            seen.append(np.geterr()["invalid"])
+        def recording_advance(*args):
+            seen["units"].append(np.geterr()["invalid"])
             return advance(*args)
 
-        monkeypatch.setattr(sde, "_advance", recording)
+        def recording_interp(*args):
+            seen["parts"].append(np.geterr()["invalid"])
+            return interp(*args)
+
+        monkeypatch.setattr(sde, "_advance", recording_advance)
+        monkeypatch.setattr(np, "interp", recording_interp)
         monkeypatch.setattr(sde, "_worker_count", lambda: workers)
-        sol = built_presets["fig1"]
-        ens = init_ensemble(sol, 3 * CHUNK_PATHS, 0.3, seed=5)
+        sol, n = built_presets["fig1"], 3 * CHUNK_PATHS
         with np.errstate(all="raise"):
+            ens = init_ensemble(sol, n, 0.3, seed=5)
             propagate(ens, sol, 0.31)
-        assert seen == ["raise"] * 3
+        # three chunks make two units; parts hold DRAW_PATHS / (2 workers) paths
+        assert seen == {"units": ["raise"] * 2,
+                        "parts": ["raise"] * -(-n // (DRAW_PATHS // (2 * workers)))}
 
     @pytest.mark.parametrize("n", [1, CHUNK_PATHS, CHUNK_PATHS + 1, 200_000, 3 * CHUNK_PATHS + 7])
     def test_equal_chunks_set_by_the_path_count(self, built_presets, monkeypatch, n):
-        """ceil(n / CHUNK_PATHS) chunks, whose sizes differ by one path at most."""
-        advance, sizes = sde._advance, []
+        """ceil(n / CHUNK_PATHS) streams handed to _advance, one per chunk,
+        whose sizes differ by one path at most and fill each work unit."""
+        advance, streams = sde._advance, []
 
-        def recording(z, *args):
-            sizes.append(z.size)
-            return advance(z, *args)
+        def recording(z, unit_streams, *args):
+            assert sum(size for _, size in unit_streams) == z.size
+            streams.extend(unit_streams)
+            return advance(z, unit_streams, *args)
 
         monkeypatch.setattr(sde, "_advance", recording)
         sol = built_presets["fig1"]
         step_ensemble(init_ensemble(sol, n, 0.3, seed=3), sol, 1e-4)
+        sizes = [size for _, size in streams]
         assert len(sizes) == -(-n // CHUNK_PATHS)
+        assert len({id(rng) for rng, _ in streams}) == len(sizes)
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("n", [3 * CHUNK_PATHS + 7, 200_000])
+    def test_units_step_like_chunks_alone(self, built_presets, monkeypatch, n):
+        """Work units of one or two chunks give, at 1, 2 and 4 workers, the
+        bits of each chunk stepped alone with its own stream."""
+        sol, t0 = built_presets["fig1"], PRESETS["fig1"].times[0]
+        t_end = t0 + 0.02
+        advance, setup = sde._advance, []
+
+        def recording(z, streams, *args):
+            setup.append(args)
+            return advance(z, streams, *args)
+
+        monkeypatch.setattr(sde, "_advance", recording)
+        runs = {}
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(sde, "_worker_count", lambda w=workers: w)
+            # a fresh ensemble each: the chunks' streams are spawned from ens.rng
+            runs[workers] = propagate(init_ensemble(sol, n, t0, seed=31), sol, t_end)
+        ens = init_ensemble(sol, n, t0, seed=31)
+        n_chunks = -(-n // CHUNK_PATHS)
+        starts = [n * i // n_chunks for i in range(n_chunks)] + [n]
+        expected = np.empty(n)
+        for rng, a, b in zip(ens.rng.spawn(n_chunks), starts, starts[1:]):
+            z = ens.positions[a:b] * t0**-sol.alpha
+            advance(z, [(rng, b - a)], *setup[0])
+            expected[a:b] = np.clip(z, sol.z_lo, sol.z_hi) * t_end**sol.alpha
+        for workers, out in runs.items():
+            assert out.positions.tobytes() == expected.tobytes(), workers
 
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig5"])
     def test_seed_fixes_results(self, built_presets, name):
