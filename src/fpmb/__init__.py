@@ -7,10 +7,7 @@ verification channels: analytic identity residuals, a fixed-domain PDE
 solver, and Monte Carlo path sampling.
 """
 
-from .scaling import (
-    check_alpha,
-    drift_from_f,
-)
+from .scaling import check_alpha, drift_from_f
 from .solutions import (
     PRESETS,
     ClassI,

@@ -11,9 +11,7 @@ depend on alpha, which enters only through that map.
 from __future__ import annotations
 
 import math
-
-import numpy as np
-from numpy.polynomial import polynomial as P
+import numbers
 
 __all__ = [
     "check_alpha",
@@ -21,22 +19,25 @@ __all__ = [
 ]
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool: every number's first gate."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_alpha(alpha: float) -> float:
-    """alpha as a float; rejects alpha = 0 and non-finite values, where the
-    reduced coordinate degenerates."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha == 0.0:
-        raise ValueError(f"alpha must be finite and nonzero, got {alpha!r}")
-    return alpha
+    """alpha as a float if a finite nonzero real (at 0, z = x / t^alpha degenerates)."""
+    if _is_real(alpha) and math.isfinite(alpha) and alpha != 0.0:
+        return float(alpha)
+    raise ValueError(f"alpha must be finite and nonzero, got {alpha!r}")
 
 
-def drift_from_f(f_rho2, rho2) -> np.ndarray:
+def drift_from_f(f_rho2, rho2) -> tuple[float, float, float]:
     """Reduced drift q = f rho2 + rho2' implied by a shape function.
 
-    Inverts the definition of f on polynomial coefficients in ascending
-    powers of z: ``f_rho2`` is the product f rho2 and ``rho2`` the
-    diffusion profile.  q contains no alpha; the physical drift profile is
-    rho1 = q + alpha z.  This is the constructor used by every solvable
+    Inverts the definition of f on quadratics given as coefficient triples
+    in ascending powers of z: ``f_rho2`` is the product f rho2 and ``rho2``
+    the diffusion profile.  q contains no alpha; the physical drift profile
+    is rho1 = q + alpha z.  This is the constructor used by every solvable
     family, so the drift is generated from f rather than transcribed.
     """
-    return P.polyadd(f_rho2, P.polyder(rho2))
+    return f_rho2[0] + rho2[1], f_rho2[1] + 2.0 * rho2[2], f_rho2[2]

@@ -9,14 +9,14 @@ with linear factors l1, l2 that are positive on the open domain (each
 finite endpoint is a root of one of them), and the diffusion profile is
 the quadratic rho2 = l1 l2.  A solution is stored as plain numbers: the
 factors, the rate b, the domain, the coefficients of both profiles and
-alpha.  The shape function f = y'/y gives the polynomial
+alpha.  The shape function f = y'/y gives the quadratic
 f rho2 = a1 l1' l2 + a2 l2' l1 + b l1 l2, and the reduced drift
-q = f rho2 + rho2' is *generated* from it through ``scaling.drift_from_f``,
-never written out by hand.  q and rho2 are the drift and diffusion of the
-reduced process dZ = q(Z) ds + sqrt(2 rho2(Z)) dB_s in s = ln t; neither
-contains alpha.  Both profiles are evaluated only from their coefficients,
-so the residual checks below, which hold them against f pointwise, detect
-a mistranscribed or corrupted coefficient of either.
+q = f rho2 + rho2' is *generated* from it by ``scaling.drift_from_f`` on
+float triples, never written out by hand.  q and rho2 are the drift and
+diffusion of the reduced process dZ = q(Z) ds + sqrt(2 rho2(Z)) dB_s in
+s = ln t; neither contains alpha.  Both profiles are evaluated only from
+their coefficients, so the residual checks below, which hold them against
+f pointwise, detect a mistranscribed or corrupted coefficient of either.
 
 alpha enters only through the map x = z t^alpha: the physical density is
 W(x, t) = t^{-alpha} y(x / t^alpha) with y normalized to unit mass, domain
@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
-from .scaling import check_alpha, drift_from_f
+from .scaling import _is_real, check_alpha, drift_from_f
 from .specfun import (
     QuadratureResult,
     _combine,
@@ -80,12 +79,13 @@ __all__ = [
 
 
 def _check_params(params) -> None:
-    """Checks every family shares: each parameter is finite (the error names
-    the first that is not), and both endpoint exponents are positive."""
+    """Checks every family shares: each parameter is a finite real, stored as
+    a float (the error names the first that is not), and a1, a2 > 0."""
     for f in dataclasses.fields(params):
         value = getattr(params, f.name)
-        if not math.isfinite(value):
+        if not (_is_real(value) and math.isfinite(value)):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
+        object.__setattr__(params, f.name, float(value))
     if not (params.a1 > 0.0 and params.a2 > 0.0):
         raise ValueError(
             f"endpoint exponents must be positive, got a1={params.a1!r}, a2={params.a2!r}"
@@ -346,11 +346,6 @@ def _reduced_mass(sol: SimilaritySolution, weight_power: int = 0) -> QuadratureR
     return _domain_quadrature(sol, integrand, 1.0, k, _NORM_RTOL)
 
 
-def _quadratic_tuple(coefs) -> tuple[float, float, float]:
-    """Ascending coefficients as plain floats, padded to length 3."""
-    return tuple(map(float, coefs)) + (0.0,) * (3 - len(coefs))
-
-
 def _closed_form_norm(sol: SimilaritySolution) -> float:
     """Closed-form normalization 1 / int y / A dz, read off the Pearson form.
 
@@ -387,19 +382,22 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
     """Construct a solvable model for the given scaling exponent and family.
 
     rho2 = l1 l2 and f rho2 = a1 l1' l2 + a2 l2' l1 + b l1 l2 are multiplied
-    out exactly, and the reduced drift comes from ``drift_from_f``; the
-    normalization is computed both in closed form and by quadrature and the
-    two are required to agree.  The closed form is authoritative for the
+    out into float triples, and the reduced drift comes from ``drift_from_f``;
+    the normalization is computed both in closed form and by quadrature and
+    the two are required to agree.  The closed form is authoritative for the
     finite-domain families; the half-line family keeps the quadrature value
     (its closed form is retained as a cross-check only).
     """
     alpha = check_alpha(alpha)
     factors, rate, z_lo, z_hi = params.linear_factors()
     (r1, s1, a1), (r2, s2, a2) = factors
-    l1 = np.array([-s1 * r1, s1])
-    l2 = np.array([-s2 * r2, s2])
-    rho2_coefs = P.polymul(l1, l2)
-    f_rho2 = P.polyadd(P.polyadd(a1 * s1 * l2, a2 * s2 * l1), rate * rho2_coefs)
+    u1, u2 = -s1 * r1, -s2 * r2  # l_k = u_k + s_k z
+    # the sums that can meet signed zeros start from +0.0, as numpy's
+    # polynomial products do, so no coefficient of either profile is -0.0
+    c0, c1, c2 = rho2_coefs = (0.0 + u1 * u2, 0.0 + u1 * s2 + s1 * u2, s1 * s2)
+    f_rho2 = (rate * c0 + (a1 * s1 * u2 + a2 * s2 * u1),
+              rate * c1 + (a1 * s1 * s2 + a2 * s2 * s1),
+              0.0 + rate * c2)
     shape = SimilaritySolution(
         alpha=alpha,
         class_params=params,
@@ -407,8 +405,8 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
         rate=rate,
         z_lo=z_lo,
         z_hi=z_hi,
-        drift_coefs=_quadratic_tuple(drift_from_f(f_rho2, rho2_coefs)),
-        diffusion_coefs=_quadratic_tuple(rho2_coefs),
+        drift_coefs=drift_from_f(f_rho2, rho2_coefs),
+        diffusion_coefs=rho2_coefs,
         norm_A=math.nan,
         norm_A_closed=math.nan,
         norm_A_quadrature=math.nan,
@@ -451,10 +449,8 @@ def build_solution(alpha: float, params: SolutionClass) -> SimilaritySolution:
 
 def _positive(name: str, value) -> float:
     """``value`` as a float if a real (not a bool), finite and > 0; else a ValueError naming it."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        value = float(value)
-        if 0.0 < value < math.inf:  # NaN fails too
-            return value
+    if _is_real(value) and 0.0 < value < math.inf:  # NaN fails too
+        return float(value)
     raise ValueError(f"need a finite {name} > 0, got {value!r}")
 
 
@@ -496,16 +492,20 @@ def _reduced(x, t_alpha: float) -> np.ndarray:
         return np.asarray(x, dtype=float) / t_alpha
 
 
-def _on_domain(sol: SimilaritySolution, z, closed: bool = False):
+def _on_domain(sol: SimilaritySolution, z, closed: bool = False, profiles: bool = False):
     """Mask of the points of z on the open domain (with ``closed``, on the
     domain with its finite endpoints), and z with every other point, NaN
     and +-inf among them, moved to an interior anchor, where every
-    profile is finite."""
+    profile is finite.  With ``profiles``, for a caller that forms rho1 and
+    rho2, a half line ends where either leaves float range."""
     z = np.asarray(z, dtype=float)
     if closed:
         inside = (z >= sol.z_lo) & (z <= min(sol.z_hi, sys.float_info.max))
     else:
         inside = (z > sol.z_lo) & (z < sol.z_hi)
+    if profiles and math.isinf(sol.z_hi):
+        with np.errstate(over="ignore"):
+            inside &= np.isfinite(_quadratic(_physical_drift(sol), z)) & np.isfinite(rho2(sol, z))
     anchor = sol.z_lo + 1.0 if math.isinf(sol.z_hi) else 0.5 * (sol.z_lo + sol.z_hi)
     return inside, np.where(inside, z, anchor)
 
@@ -556,7 +556,7 @@ def current_from_definition(sol: SimilaritySolution, x, t: float):
     are tampered with.
     """
     t, t_alpha = _time_scale("t", t, sol.alpha)
-    inside, z = _on_domain(sol, _reduced(x, t_alpha))
+    inside, z = _on_domain(sol, _reduced(x, t_alpha), profiles=True)
     y = sol.norm_A * np.exp(_log_y(sol, z))
     y_prime = f(sol, z) * y
     rho1 = _quadratic(_physical_drift(sol), z)
@@ -579,8 +579,8 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     t, t_alpha = _time_scale("t", t, sol.alpha)
     t_d1, t_d2 = _coefficient_scales("t", t, sol.alpha)
     z = _reduced(x, t_alpha)
-    closed, z_safe = _on_domain(sol, z, closed=True)
-    interior, _ = _on_domain(sol, z)
+    closed, z_safe = _on_domain(sol, z, closed=True, profiles=True)
+    interior = closed & (z_safe > sol.z_lo) & (z_safe < sol.z_hi)
     rho1 = _quadratic(_physical_drift(sol), z_safe)
     d1 = np.where(closed, t_d1 * rho1, 0.0)
     rho2_z = np.maximum(rho2(sol, z_safe), 0.0)

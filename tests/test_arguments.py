@@ -14,6 +14,9 @@ import pytest
 
 from fpmb import (
     PRESETS,
+    ClassI,
+    ClassII,
+    ClassIII,
     boundary_positions,
     build_solution,
     coefficients,
@@ -187,17 +190,52 @@ def test_larger_power_of_t_out_of_range(built_presets, entry):
     assert message.endswith(f", got {name}={t!r}, alpha={sol.alpha!r}")
 
 
+# a model number: (its name, call of a bad value)
+MODEL_NUMBERS = {
+    "alpha": lambda v: build_solution(v, PRESETS["fig1"].params),
+    "z1": lambda v: ClassI(z1=v, z2=4.0, a1=1.0, a2=0.5),
+    "z2": lambda v: ClassII(z2=v, a1=1.0, a2=0.5, beta=-1.0),
+    "a1": lambda v: ClassIII(z1=0.5, a1=v, a2=0.5, beta=1.0),
+    "beta": lambda v: ClassIII(z1=0.5, a1=1.0, a2=0.5, beta=v),
+}
+
+
+@pytest.mark.parametrize("value", ["1.0", True, np.True_, None],
+                         ids=["str", "bool", "numpy-bool", "None"])
+@pytest.mark.parametrize("name", MODEL_NUMBERS)
+def test_model_number_is_a_real_number(name, value):
+    """alpha and the family parameters pass the gate that times and counts
+    pass: a string or a bool is refused by name, not taken as a number."""
+    must = "finite and nonzero" if name == "alpha" else "finite"
+    message = _refused(lambda _, v: MODEL_NUMBERS[name](v), None, value, f"{name} must be {must}")
+    assert message.endswith(f", got {value!r}")
+
+
+def test_model_numbers_are_kept_as_floats():
+    sol = build_solution(2, ClassI(z1=np.int64(1), z2=4, a1=1, a2=np.float32(0.5)))
+    numbers = [sol.alpha, *dataclasses.astuple(sol.class_params), *sum(sol.factors, ())]
+    assert all(type(v) is float for v in numbers)
+    assert sol == build_solution(2.0, PRESETS["fig1"].params)
+
+
 def test_numpy_integers_are_counts(fig1):
     sol = fig1.sol
     assert np.array_equal(interior_points(sol, np.int64(7)), interior_points(sol, 7))
     assert moment(sol, np.int64(1), 0.5) == moment(sol, 1, 0.5)
 
 
+# (preset, time): each preset at its first time, where x = 1e308 gives
+# z = inf on fig5's half line, and fig5 at t = 1, where z = 1e308 is finite
+# and on the half line, past the float range of its profiles
+OFF_DOMAIN = {name: (name, spec.times[0]) for name, spec in PRESETS.items()}
+OFF_DOMAIN["fig5-t1"] = ("fig5", 1.0)
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308, -1e308])
-@pytest.mark.parametrize("name", PRESETS)
-def test_evaluators_are_zero_off_the_domain(built_presets, name, x):
+@pytest.mark.parametrize("case", OFF_DOMAIN)
+def test_evaluators_are_zero_off_the_domain(built_presets, case, x):
+    name, t = OFF_DOMAIN[case]
     sol = built_presets[name]
-    t = PRESETS[name].times[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         values = {

@@ -721,7 +721,8 @@ codes = [
     cli.main(["eval", "--preset", "fig5", "--out", out + "/eval.csv"]),
     cli.main(["sample", "--preset", "fig5", "--paths", "2000", "--out", out + "/hist.csv"]),
 ]
-print(codes, "scipy.special" in sys.modules, "concurrent.futures" in sys.modules)
+print(codes, *(name in sys.modules
+               for name in ("scipy.special", "concurrent.futures", "numpy.polynomial")))
 """
 
 
@@ -729,12 +730,13 @@ def test_subcommands_never_load_scipy_special(tmp_path):
     """Log-gamma comes from the standard library; importing scipy.special
     would add several MiB of resident memory to every run.  Nor does a run
     whose paths fit in one chunk import concurrent.futures, which only the
-    thread pool needs."""
+    thread pool needs, nor numpy.polynomial: a model's profiles are three
+    plain floats each."""
     src = str(Path(fpmb.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", _NO_SPECIAL_SCRIPT, str(tmp_path)],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False False False"
 
 
 @pytest.mark.parametrize("argv", [["eval", "--preset", "fig1"], ["info", "II"]])

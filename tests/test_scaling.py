@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyadd, polyder, polymul, polyval
 
 from fpmb import (
     PRESETS,
@@ -43,9 +43,9 @@ class TestDriftFromF:
     def test_two_boundary_profile(self, transcribed_profiles):
         z1, z2, a1, a2 = 1.0, 4.0, 1.0, 0.5
         # f rho2 = a1 (z2 - z) - a2 (z - z1)
-        q = drift_from_f((a1 * z2 + a2 * z1, -a1 - a2), (-z1 * z2, z1 + z2, -1.0))
+        q = drift_from_f((a1 * z2 + a2 * z1, -a1 - a2, 0.0), (-z1 * z2, z1 + z2, -1.0))
         np.testing.assert_allclose(
-            q, [(a1 + 1.0) * z2 + (a2 + 1.0) * z1, -a1 - a2 - 2.0], rtol=1e-15)
+            q, [(a1 + 1.0) * z2 + (a2 + 1.0) * z1, -a1 - a2 - 2.0, 0.0], rtol=1e-15)
         for params in (ClassI(z1=z1, z2=z2, a1=a1, a2=a2),
                        ClassI(z1=-2.0, z2=0.0, a1=2.5, a2=0.7)):
             for alpha in (2.0, -0.5):
@@ -72,7 +72,40 @@ class TestDriftFromF:
 
     def test_unit_diffusion_whole_line(self):
         # f = 0 under unit diffusion: no reduced drift, rho1 = alpha z is all scaling
-        np.testing.assert_array_equal(drift_from_f((0.0,), (1.0,)), [0.0])
+        assert drift_from_f((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+
+
+def _polynomial_profiles(params):
+    """(q, rho2) formed from the linear factors with numpy.polynomial, each
+    padded with +0.0 to three coefficients: the reference for the triples."""
+    factors, rate, _, _ = params.linear_factors()
+    (r1, s1, a1), (r2, s2, a2) = factors
+    l1, l2 = np.array([-s1 * r1, s1]), np.array([-s2 * r2, s2])
+    rho2 = polymul(l1, l2)
+    f_rho2 = polyadd(polyadd(a1 * s1 * l2, a2 * s2 * l1), rate * rho2)
+    q = polyadd(f_rho2, polyder(rho2))
+    return tuple(tuple(map(float, c)) + (0.0,) * (3 - len(c)) for c in (q, rho2))
+
+
+# models whose products meet a zero coefficient, where the sign of a zero
+# depends on how each sum starts: a root at 0 on either side, beta = +-0
+ZERO_CASES = [
+    ClassI(z1=0.0, z2=2.0, a1=1.0, a2=0.5),
+    ClassI(z1=-2.0, z2=0.0, a1=0.5, a2=1.0),
+    ClassI(z1=-1.0, z2=1.0, a1=1.0, a2=1.0),
+    ClassII(z2=1.0, a1=1.0, a2=0.5, beta=0.0),
+    ClassII(z2=1.0, a1=1.0, a2=1.0, beta=-0.0),
+    ClassIII(z1=0.0, a1=1.0, a2=0.5, beta=1.0),
+]
+
+
+def test_profiles_match_polynomial_products_to_the_bit(built_presets, random_models):
+    sols = [*built_presets.values(), *random_models,
+            *(build_solution(2.0, params) for params in ZERO_CASES)]
+    for sol in sols:
+        got = tuple(tuple(v.hex() for v in c) for c in (sol.drift_coefs, sol.diffusion_coefs))
+        want = tuple(tuple(v.hex() for v in c) for c in _polynomial_profiles(sol.class_params))
+        assert got == want, sol.class_params
 
 
 class TestProfileRoundTrip:
