@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
-from typing import ClassVar, Iterable, Sequence, TextIO
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .solutions import (
     SolutionClass,
     _count,
     _coefficient_scales,
+    _current_scale,
     _time_scale,
     build_solution,
     coefficients,
@@ -104,7 +105,7 @@ class RunConfig:
         if not self.times:
             raise ValueError("need at least one value in times")
         for t in self.times:
-            t, _ = _time_scale("times", t, self.alpha)
+            t, _ = _current_scale("times", t, self.alpha)  # t^alpha, and J's 1 / t
             _coefficient_scales("times", t, self.alpha)  # the powers of t in D1 and D2
         self.params()
 
@@ -245,9 +246,9 @@ def _residual_orders(sol: SimilaritySolution, t: float) -> list[float]:
 
 
 def _pde_relaxation(sol: SimilaritySolution, n_cells: int,
-                    log_rows: list[str] | None) -> tuple[float, float]:
+                    log_rows: list[tuple[float, float, float]] | None) -> tuple[float, float]:
     """L1 distance to the stationary field after 200 steps from a uniform
-    start, and the worst one-step mass drift; appends a log row per step
+    start, and the worst one-step mass drift; appends (s, mass, L1) per step
     when ``log_rows`` is a list."""
     op = pde.transformed_operator(sol, n_cells)
     grid = op.grid
@@ -255,8 +256,7 @@ def _pde_relaxation(sol: SimilaritySolution, n_cells: int,
     on_step = None
     if log_rows is not None:
         def on_step(s: float, m: float, values: np.ndarray) -> None:
-            l1 = pde.l1_distance(values, target, grid)
-            log_rows.append(",".join(_fmt(v) for v in (s, m, l1)))
+            log_rows.append((s, float(m), pde.l1_distance(values, target, grid)))
 
     final, drift = pde.evolve(op, pde.uniform_field(grid), 200, 0.05, on_step=on_step)
     return pde.l1_distance(final, target, grid), drift
@@ -279,7 +279,7 @@ def run_checks(
     cfg: RunConfig,
     *,
     with_sde: bool = False,
-    pde_log_rows: list[str] | None = None,
+    pde_log_rows: list[tuple[float, float, float]] | None = None,
 ) -> list[CheckResult]:
     """All verification checks for one config, in report order.
 
@@ -328,18 +328,11 @@ def run_checks(
     return results
 
 
-_NUMBER_SPEC = ".17g"
-
-
-def _fmt(value: float) -> str:
-    return format(value, _NUMBER_SPEC)
-
-
 def _csv_block(columns: Sequence[np.ndarray]) -> str:
-    """CSV rows of equal-length columns, each value as ``_fmt`` writes it,
-    built by one ``%`` format over the whole block."""
+    """CSV rows of equal-length columns, each value with 17 significant
+    digits, built by one ``%`` format over the whole block."""
     table = np.column_stack(columns)
-    row = ",".join(["%" + _NUMBER_SPEC] * table.shape[1]) + "\n"
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     return (row * table.shape[0]) % tuple(table.ravel().tolist())
 
 
@@ -358,13 +351,6 @@ def _output(path: str | None):
     created or truncated, and left empty by a run that fails later.
     Standard output when ``path`` is None."""
     return contextlib.nullcontext(sys.stdout) if path is None else _open(path, "w")
-
-
-def _write_rows(out: TextIO, header: str, blocks: Iterable[str]) -> None:
-    """Write the header line, then each block of newline-terminated rows."""
-    out.write(header + "\n")
-    for block in blocks:
-        out.write(block)
 
 
 @contextlib.contextmanager
@@ -411,26 +397,29 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with _output(cfg.out) as out:
         with _model_errors(args):
             sol = cfg.build()
-        blocks = []
-        for t in cfg.times:
-            lo, hi = truncated_positions(sol, t)
-            x = np.linspace(lo, hi, args.points)
-            w = density(sol, x, t)
-            d1, d2 = coefficients(sol, x, t)
-            blocks.append(_csv_block((np.full_like(x, t), x, w, current(sol, x, t, w), d1, d2)))
-        _write_rows(out, "t,x,W,J,D1,D2", blocks)
+            blocks = []
+            for t in cfg.times:
+                lo, hi = truncated_positions(sol, t)
+                x = np.linspace(lo, hi, args.points)
+                w = density(sol, x, t)
+                d1, d2 = coefficients(sol, x, t)
+                blocks.append(_csv_block((np.full_like(x, t), x, w, current(sol, x, t, w), d1, d2)))
+        out.write("t,x,W,J,D1,D2\n")
+        out.writelines(blocks)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    log_rows: list[str] | None = [] if args.pde_log else None
+    log_rows: list[tuple[float, float, float]] | None = [] if args.pde_log else None
     with _output(args.pde_log) as log:
         # run_checks fails a check that raises, so what reaches here is the build's
         with _model_errors(args):
             results = run_checks(cfg, with_sde=args.with_sde, pde_log_rows=log_rows)
         if log_rows is not None:
-            _write_rows(log, "s,mass,l1_to_stationary", ["".join(row + "\n" for row in log_rows)])
+            log.write("s,mass,l1_to_stationary\n")
+            # as three columns, none for a PDE check that failed before its first step
+            log.write(_csv_block(np.reshape(log_rows, (-1, 3)).T))
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -452,7 +441,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         ens = sde.init_ensemble(sol, cfg.n_paths, cfg.times[0], cfg.seed)
         ens = sde.propagate(ens, sol, cfg.times[-1])
         block = _csv_block(sde.histogram_table(ens, sol, cfg.n_bins))
-        _write_rows(out, "bin_center,empirical_density,analytic_density", [block])
+        out.write("bin_center,empirical_density,analytic_density\n")
+        out.write(block)
     dist = sde.histogram_distance(ens, sol, cfg.n_bins)
     print(f"paths={cfg.n_paths} l1_distance={dist:.6f}", file=sys.stderr)
     return 0

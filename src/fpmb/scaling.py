@@ -20,8 +20,15 @@ __all__ = [
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number and not a bool: every number's first gate."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number, not a bool, that a float can hold
+    (an int past the largest float is not): every number's first gate."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def check_alpha(alpha: float) -> float:

@@ -486,6 +486,22 @@ def _coefficient_scales(name: str, t: float, alpha: float) -> tuple[float, float
             _time_power(name, t, alpha, 2.0 * alpha - 1.0, "(2 alpha - 1)"))
 
 
+def _current_scale(name: str, t, alpha: float) -> tuple[float, float]:
+    """``_time_scale(name, t, alpha)`` for a t whose 1 / t, the time factor
+    of J, is in float range too (with t^alpha in range, so is alpha / t)."""
+    t, t_alpha = _time_scale(name, t, alpha)
+    _time_power(name, t, alpha, -1.0, "(-1)")
+    return t, t_alpha
+
+
+def _in_range(what: str, t: float, alpha: float, values: np.ndarray) -> np.ndarray:
+    """``values`` if all are finite; else a ValueError naming t, for a product
+    of a power of t and a profile that leaves float range on the domain."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"need {what} in float range on the domain, got t={t!r}, alpha={alpha!r}")
+    return values
+
+
 def _reduced(x, t_alpha: float) -> np.ndarray:
     """z = x / t^alpha, where an x too large for the quotient goes to +-inf, warning-free."""
     with np.errstate(over="ignore"):
@@ -496,13 +512,16 @@ def _on_domain(sol: SimilaritySolution, z, closed: bool = False, profiles: bool 
     """Mask of the points of z on the open domain (with ``closed``, on the
     domain with its finite endpoints), and z with every other point, NaN
     and +-inf among them, moved to an interior anchor, where every
-    profile is finite.  With ``profiles``, for a caller that forms rho1 and
-    rho2, a half line ends where either leaves float range."""
+    profile is finite.  A half line ends where rate z leaves float range,
+    past which y is 0; with ``profiles``, for a caller that forms rho1 and
+    rho2, also where either leaves float range."""
     z = np.asarray(z, dtype=float)
+    # float_max / beta is inf for beta < 1, where rate z cannot overflow
+    z_hi = sol.z_hi if math.isfinite(sol.z_hi) else sys.float_info.max / -sol.rate
     if closed:
-        inside = (z >= sol.z_lo) & (z <= min(sol.z_hi, sys.float_info.max))
+        inside = (z >= sol.z_lo) & (z <= min(z_hi, sys.float_info.max))
     else:
-        inside = (z > sol.z_lo) & (z < sol.z_hi)
+        inside = (z > sol.z_lo) & (z < z_hi)
     if profiles and math.isinf(sol.z_hi):
         with np.errstate(over="ignore"):
             inside &= np.isfinite(_quadratic(_physical_drift(sol), z)) & np.isfinite(rho2(sol, z))
@@ -532,13 +551,17 @@ def current(sol: SimilaritySolution, x, t: float, w=None):
 
     ``w``, if given, must be ``density(sol, x, t)`` for the same arguments;
     a caller that already has W passes it so W is not evaluated twice.
+    A J out of float range at a point of the domain raises a ValueError
+    naming t, as ``current_from_definition`` does.
     """
-    t = _positive("t", t)
+    t, _ = _current_scale("t", t, sol.alpha)
     x = np.asarray(x, dtype=float)
     w = np.asarray(density(sol, x, t) if w is None else w)
     # J is a zero of the sign of x where W is 0, even where (alpha / t) x is not finite
     x = np.where(w == 0.0, np.copysign(0.0, x), x)
-    return _value((sol.alpha / t) * x * w)
+    with np.errstate(over="ignore"):
+        j = (sol.alpha / t) * x * w
+    return _value(_in_range("J", t, sol.alpha, j))
 
 
 def _physical_drift(sol: SimilaritySolution) -> tuple[float, float, float]:
@@ -555,14 +578,16 @@ def current_from_definition(sol: SimilaritySolution, x, t: float):
     consistency check, and breaks if the coefficients of either profile
     are tampered with.
     """
-    t, t_alpha = _time_scale("t", t, sol.alpha)
+    t, t_alpha = _current_scale("t", t, sol.alpha)
     inside, z = _on_domain(sol, _reduced(x, t_alpha), profiles=True)
     y = sol.norm_A * np.exp(_log_y(sol, z))
     y_prime = f(sol, z) * y
     rho1 = _quadratic(_physical_drift(sol), z)
     drift = rho1 - _quadratic_prime(sol.diffusion_coefs, z)
     val = drift * y - rho2(sol, z) * y_prime
-    return _value(np.where(inside, val / t, 0.0))
+    with np.errstate(over="ignore"):
+        j = np.where(inside, val / t, 0.0)
+    return _value(_in_range("J", t, sol.alpha, j))
 
 
 def coefficients(sol: SimilaritySolution, x, t: float):
@@ -574,7 +599,8 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     finite at every endpoint, with no removable 0 * inf left to dodge.
     D2 = t^(2 alpha - 1) rho2(z) on the open domain, clamped at 0 against
     the rounding of rho2 next to an endpoint, and exactly 0 at the
-    endpoints, where the profile vanishes.
+    endpoints, where the profile vanishes.  A D1 or D2 out of float range
+    at a point of the domain raises a ValueError naming t.
     """
     t, t_alpha = _time_scale("t", t, sol.alpha)
     t_d1, t_d2 = _coefficient_scales("t", t, sol.alpha)
@@ -582,10 +608,11 @@ def coefficients(sol: SimilaritySolution, x, t: float):
     closed, z_safe = _on_domain(sol, z, closed=True, profiles=True)
     interior = closed & (z_safe > sol.z_lo) & (z_safe < sol.z_hi)
     rho1 = _quadratic(_physical_drift(sol), z_safe)
-    d1 = np.where(closed, t_d1 * rho1, 0.0)
     rho2_z = np.maximum(rho2(sol, z_safe), 0.0)
-    d2 = np.where(interior, t_d2 * rho2_z, 0.0)
-    return _value(d1), _value(d2)
+    with np.errstate(over="ignore"):
+        d1 = np.where(closed, t_d1 * rho1, 0.0)
+        d2 = np.where(interior, t_d2 * rho2_z, 0.0)
+    return _value(_in_range("D1", t, sol.alpha, d1)), _value(_in_range("D2", t, sol.alpha, d2))
 
 
 def boundary_positions(sol: SimilaritySolution, t: float) -> tuple[float, float]:

@@ -280,7 +280,14 @@ def _integrate_tail(g, lo, rtol) -> QuadratureResult:
     def h(u):
         u = np.asarray(u, dtype=float)
         s = 1.0 - u
-        return np.asarray(g(lo + u / s), dtype=float) / (s * s)
+        # a node that rounds to u = 1 maps to z = inf, where every integrand
+        # here vanishes: with s = inf it reads g(lo) / inf = 0
+        s[s == 0.0] = math.inf
+        gz = np.asarray(g(lo + u / s), dtype=float)
+        # an integrand past float range over s^2 reads inf, which the
+        # caller's result check refuses
+        with np.errstate(over="ignore"):
+            return gz / (s * s)
 
     return _adapt(h, 0.0, 1.0, rtol)
 

@@ -1,7 +1,8 @@
 """Every entry point refuses a bad count or time with a ValueError that names
 the argument, before numpy meets the value, and a time whose t^alpha is out
-of float range; the evaluators are 0 off the domain, at x = +-inf, NaN and
-a finite x too large for x / t^alpha included."""
+of float range; an evaluator refuses, naming t, a D1, D2 or J out of float
+range on the domain; the evaluators are 0 off the domain, at x = +-inf, NaN
+and a finite x too large for x / t^alpha included."""
 
 import dataclasses
 import math
@@ -44,7 +45,7 @@ from fpmb.sde import (
     propagate,
     step_ensemble,
 )
-from fpmb.solutions import truncated_positions
+from fpmb.solutions import reduced_density, truncated_positions
 
 
 def _preset(built_presets, name):
@@ -106,6 +107,8 @@ TIMES = {
                             lambda c, v: step_ensemble(_at_time(v), c.sol, 0.01)),
     "histogram_distance-ens.t": ("ensemble time t",
                                  lambda c, v: histogram_distance(_at_time(v), c.sol, 10)),
+    "RunConfig": ("times", lambda c, v: dataclasses.replace(load_preset_config("fig1"),
+                                                            times=(0.3, v))),
 }
 
 # entry point whose time meets alpha: (the time's name, call of (a preset, time))
@@ -130,6 +133,10 @@ def _refused(call, fixture, value, message):
     return str(info.value)
 
 
+# an int that no float can hold
+INT_PAST_FLOAT = pytest.param(10**400, id="int-past-float")
+
+
 @pytest.mark.parametrize("value", [2.5, 1e3, math.nan, -1, "3", True])
 @pytest.mark.parametrize("entry", COUNTS)
 def test_count_is_a_whole_number(fig1, entry, value):
@@ -138,7 +145,8 @@ def test_count_is_a_whole_number(fig1, entry, value):
     assert message.endswith(f", got {value!r}")
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, "0.5", "abc", True])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, "0.5", "abc", True,
+                                   INT_PAST_FLOAT])
 @pytest.mark.parametrize("entry", TIMES)
 def test_time_is_finite_and_positive(fig1, entry, value):
     name, call = TIMES[entry]
@@ -160,6 +168,11 @@ def _alpha_004(built_presets):
     return build_solution(0.04, built_presets["fig1"].class_params)
 
 
+def _alpha_05(built_presets):
+    """fig1's model at alpha = 0.5, whose t^alpha is in float range at t = 1e-310, but not 1 / t."""
+    return build_solution(0.5, built_presets["fig1"].class_params)
+
+
 # a larger power of t out of float range where t^alpha is in it:
 # (model, call of (solution, time), time, the power as the message writes it)
 POWERS = {
@@ -175,19 +188,67 @@ POWERS = {
         load_preset_config("fig1"), times=(0.3, t)), 1e150, "(2 alpha - 1)"),
     "RunConfig-fig2": (lambda b: b["fig2"], lambda sol, t: dataclasses.replace(
         load_preset_config("fig2"), times=(0.3, t)), 1e100, "(2 alpha - 1)"),
+    # J's factor: alpha / t in current, 1 / t in current_from_definition,
+    # at a point on the domain
+    "current": (_alpha_05, lambda sol, t: current(sol, 2.0 * t**sol.alpha, t), 1e-310, "(-1)"),
+    "current_from_definition": (_alpha_05, lambda sol, t: current_from_definition(
+        sol, 2.0 * t**sol.alpha, t), 1e-310, "(-1)"),
+    "RunConfig-J": (_alpha_05, lambda sol, t: dataclasses.replace(
+        load_preset_config("fig1"), alpha=0.5, times=(0.3, t)), 1e-310, "(-1)"),
 }
 
 
 @pytest.mark.parametrize("entry", POWERS)
 def test_larger_power_of_t_out_of_range(built_presets, entry):
     """Each power of t is gated where it is formed: D1's t^(alpha - 1), D2's
-    t^(2 alpha - 1) and the moment's t^(k alpha), and RunConfig refuses
-    the times whose D1 or D2 factor is out of float range."""
+    t^(2 alpha - 1), J's t^-1 and the moment's t^(k alpha), and RunConfig
+    refuses the times whose D1, D2 or J factor is out of float range."""
     model, call, t, power = POWERS[entry]
     sol = model(built_presets)
     name = "times" if entry.startswith("RunConfig") else "t"
     message = _refused(call, sol, t, f"need {name}\\^{re.escape(power)} in float range")
     assert message.endswith(f", got {name}={t!r}, alpha={sol.alpha!r}")
+
+
+# a product of a power of t and a profile out of float range where each
+# factor is in it: (model, call of (solution, time), time, the product)
+PRODUCTS = {
+    # D1 = t^(alpha - 1) rho1 overflows in the bulk of the domain (z = 2 of [1, 1e4])
+    "D1-bulk": (lambda b: build_solution(0.01, ClassI(1.0, 1e4, 1.0, 0.5)),
+                lambda sol, t: coefficients(sol, 2.0 * t**sol.alpha, t), 5e-308, "D1"),
+    "D1-mid": (lambda b: build_solution(0.01, ClassI(1.0, 100.0, 1.0, 0.5)),
+               lambda sol, t: coefficients(sol, 50.0 * t**sol.alpha, t), 1e-310, "D1"),
+    # fig5 at t = 2: z = 7.5e153 keeps rho2 in float range, but not 8 rho2
+    "D2-half-line": (lambda b: b["fig5"], lambda sol, t: coefficients(sol, 3e154, t), 2.0, "D2"),
+    # J = alpha z y / t with 1 / t in range, z = 1000.5 and y = 1.5
+    "J": (lambda b: build_solution(0.5, ClassI(1000.0, 1001.0, 1.0, 1.0)),
+          lambda sol, t: current(sol, 1000.5 * t**sol.alpha, t), 1e-306, "J"),
+    "J-definition": (lambda b: build_solution(0.5, ClassI(1000.0, 1001.0, 1.0, 1.0)),
+                     lambda sol, t: current_from_definition(sol, 1000.5 * t**sol.alpha, t),
+                     1e-306, "J"),
+}
+
+
+@pytest.mark.parametrize("entry", PRODUCTS)
+def test_product_out_of_range_on_the_domain(built_presets, entry):
+    """A D1, D2 or J that leaves float range at a point of the domain is
+    refused, naming t, rather than returned as inf or NaN."""
+    model, call, t, what = PRODUCTS[entry]
+    sol = model(built_presets)
+    message = _refused(call, sol, t, f"need {what} in float range on the domain")
+    assert message.endswith(f", got t={t!r}, alpha={sol.alpha!r}")
+
+
+@pytest.mark.parametrize("beta", [1e-16, 1e-20, 1e-100, 1e-200])
+def test_tiny_beta_is_refused_without_a_warning(beta):
+    """The tail map meets a node that rounds to u = 1, and an integrand past
+    float range: the build refuses the model by name, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"normalization quadrature failed for ClassIII(z1=0.5, a1=1.0, a2=0.5, "
+                f"beta={beta!r})")):
+            build_solution(1.0, ClassIII(0.5, 1.0, 0.5, beta))
 
 
 # a model number: (its name, call of a bad value)
@@ -200,12 +261,13 @@ MODEL_NUMBERS = {
 }
 
 
-@pytest.mark.parametrize("value", ["1.0", True, np.True_, None],
-                         ids=["str", "bool", "numpy-bool", "None"])
+@pytest.mark.parametrize("value", ["1.0", True, np.True_, None, 10**400],
+                         ids=["str", "bool", "numpy-bool", "None", "int-past-float"])
 @pytest.mark.parametrize("name", MODEL_NUMBERS)
 def test_model_number_is_a_real_number(name, value):
     """alpha and the family parameters pass the gate that times and counts
-    pass: a string or a bool is refused by name, not taken as a number."""
+    pass: a string, a bool or an int that no float holds is refused by
+    name, not taken as a number."""
     must = "finite and nonzero" if name == "alpha" else "finite"
     message = _refused(lambda _, v: MODEL_NUMBERS[name](v), None, value, f"{name} must be {must}")
     assert message.endswith(f", got {value!r}")
@@ -224,22 +286,26 @@ def test_numpy_integers_are_counts(fig1):
     assert moment(sol, np.int64(1), 0.5) == moment(sol, 1, 0.5)
 
 
-# (preset, time): each preset at its first time, where x = 1e308 gives
-# z = inf on fig5's half line, and fig5 at t = 1, where z = 1e308 is finite
-# and on the half line, past the float range of its profiles
-OFF_DOMAIN = {name: (name, spec.times[0]) for name, spec in PRESETS.items()}
-OFF_DOMAIN["fig5-t1"] = ("fig5", 1.0)
+# (model, time): each preset at its first time, where x = 1e308 gives
+# z = inf on fig5's half line; fig5 at t = 1, where z = 1e308 is finite
+# and on the half line, past the float range of its profiles; and a half
+# line with beta = 3, where beta z = 3e308 is past float range too
+OFF_DOMAIN = {name: (lambda b, name=name: b[name], spec.times[0])
+              for name, spec in PRESETS.items()}
+OFF_DOMAIN["fig5-t1"] = (lambda b: b["fig5"], 1.0)
+OFF_DOMAIN["III-beta3-t1"] = (lambda b: build_solution(2.0, ClassIII(0.5, 1.0, 0.5, 3.0)), 1.0)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1e308, -1e308])
 @pytest.mark.parametrize("case", OFF_DOMAIN)
 def test_evaluators_are_zero_off_the_domain(built_presets, case, x):
-    name, t = OFF_DOMAIN[case]
-    sol = built_presets[name]
+    model, t = OFF_DOMAIN[case]
+    sol = model(built_presets)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         values = {
             "density": density(sol, x, t),
+            "reduced_density": reduced_density(sol, x),
             "current": current(sol, x, t),
             "current_from_definition": current_from_definition(sol, x, t),
             "D1": coefficients(sol, x, t)[0],

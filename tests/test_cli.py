@@ -18,7 +18,6 @@ from fpmb import PRESETS, ClassI, ClassII, ClassIII, coefficients, current, dens
 from fpmb.cli import (
     RunConfig,
     _csv_block,
-    _fmt,
     _load_config,
     _parser,
     format_config,
@@ -29,6 +28,12 @@ from fpmb.cli import (
     run_checks,
 )
 from fpmb.solutions import _count, _physical_drift, interior_points, truncated_positions
+
+
+def _fmt(value: float) -> str:
+    """One value as a CSV field, 17 significant digits: the reference that
+    ``_csv_block`` is held to, written one value at a time."""
+    return format(value, ".17g")
 
 
 class TestConfig:
@@ -222,6 +227,37 @@ class TestBadValues:
                 main([command, "--config", str(path)])
         assert exc.value.code == (f"{path}: need times^(2 alpha - 1) in float range, "
                                   "got times=1e+150, alpha=2.0")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "verify", "sample"])
+    def test_time_with_current_factor_out_of_float_range(self, command, tmp_path, capsys):
+        """t = 1e-310 keeps t^0.5 in float range but not J's 1 / t: RunConfig
+        refuses it, naming times, before eval meets J = inf."""
+        path = tmp_path / "tiny.cfg"
+        path.write_text(_with(_FIG1_TEXT, alpha="0.5", times="1e-310, 1e-300"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(path)])
+        assert exc.value.code == (f"{path}: need times^(-1) in float range, "
+                                  "got times=1e-310, alpha=0.5")
+        assert capsys.readouterr().out == ""
+
+    def test_eval_refuses_a_coefficient_out_of_float_range(self, tmp_path, capsys):
+        """Every power of t is in float range at t = 5e-308, but D1 =
+        t^(alpha - 1) rho1 is not on part of the domain: eval ends with one
+        line naming the config and leaves its output empty."""
+        path = tmp_path / "tiny.cfg"
+        path.write_text(_with(_FIG1_TEXT, alpha="0.01", z2="1e4", times="5e-308, 1e-300"))
+        out = tmp_path / "out.csv"
+        out.write_text("left over\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--config", str(path), "--out", str(out)])
+        assert exc.value.code == (f"{path}: ValueError: need D1 in float range on the domain, "
+                                  "got t=5e-308, alpha=0.01")
+        assert out.read_text() == ""
         assert capsys.readouterr().out == ""
 
     def test_no_time(self):
@@ -907,6 +943,11 @@ class TestVerify:
         assert s == pytest.approx(10.0)
         assert m == pytest.approx(1.0, abs=1e-10)
         assert l1 <= 1e-2
+        # the file is the header and run_checks' rows, formatted value by value
+        rows = []
+        run_checks(dataclasses.replace(load_preset_config("fig1"), n_cells=100), pde_log_rows=rows)
+        assert log.read_text() == "s,mass,l1_to_stationary\n" + "".join(
+            ",".join(map(_fmt, row)) + "\n" for row in rows)
 
     @pytest.mark.parametrize("n_cells", range(3, 11))
     def test_half_line_pde_checks_run_on_few_cells(self, n_cells):
@@ -947,7 +988,7 @@ class TestVerify:
             return type(lu)(solve=lambda rhs: solves.append(1) or lu.solve(rhs))
 
         def record(s, m, v):
-            expected_rows.append(",".join(_fmt(x) for x in (s, m, pde.l1_distance(v, target, grid))))
+            expected_rows.append((s, float(m), pde.l1_distance(v, target, grid)))
 
         monkeypatch.setattr(pde, "splu", counting)
         final, worst = reference_evolve(pde.transformed_operator(sol, n_cells),
@@ -956,7 +997,8 @@ class TestVerify:
         for measured in (logged, unlogged):
             assert measured["pde_mass_drift"].hex() == worst.hex()
             assert measured["pde_attractor_l1"].hex() == l1.hex()
-        assert rows == expected_rows
+        assert [tuple(map(float.hex, row)) for row in rows] == [
+            tuple(map(float.hex, row)) for row in expected_rows]
         if n_cells == 1600 and name in ("fig2", "fig4"):
             assert len(solves) == 2 * 200  # every step refines
 
